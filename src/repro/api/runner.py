@@ -33,6 +33,7 @@ from .scenario import (
     DEFAULT_N_REQUESTS,
     DEFAULT_SEED,
     MAX_AUTO_REQUESTS,
+    MIN_REQUESTS,
     Scenario,
     model_dataset,
 )
@@ -86,7 +87,7 @@ def resolve(scenario: Scenario) -> ResolvedScenario:
         # for queues at the bottleneck stage to become visible.
         n_requests = int(max(DEFAULT_N_REQUESTS,
                              min(MAX_AUTO_REQUESTS, rps * 30)))
-    n = max(10, int(n_requests * scenario.scale))
+    n = max(MIN_REQUESTS, int(n_requests * scenario.scale))
     trace = generate_trace(dataset_name, rps, n, seed=seed,
                            max_context=max_context,
                            arrival=scenario.arrival or "poisson")

@@ -22,11 +22,8 @@ service-aware per-request compression-selection layer.
 
 from .selection import (
     CompressionSelectionPolicy,
-    SelectionParam,
     SelectionSpec,
     canonical_selection,
-    get_selection_policy,
-    has_selection_policy,
     parse_selection,
     register_selection,
     selection_policies,
@@ -36,12 +33,9 @@ from .selection import (
 from .spec import (
     DEFAULT_EVICTION,
     DEFAULT_STORE,
-    EvictionParam,
     EvictionPolicy,
     EvictionSpec,
-    KVStoreFamily,
     KVStoreSpec,
-    TierParam,
     canonical_kvstore,
     eviction_policies,
     get_eviction_policy,
@@ -51,21 +45,16 @@ from .spec import (
     kvstore_spec,
     parse_kvstore,
     register_eviction,
-    register_kvstore_family,
     split_kvstore_list,
 )
 from .store import CacheEntry, CacheHit, TierDef, TieredKVStore, TierState
 
 __all__ = [
     # spec
-    "TierParam",
-    "EvictionParam",
     "EvictionPolicy",
     "EvictionSpec",
-    "KVStoreFamily",
     "KVStoreSpec",
     "register_eviction",
-    "register_kvstore_family",
     "get_eviction_policy",
     "get_kvstore_family",
     "eviction_policies",
@@ -84,13 +73,10 @@ __all__ = [
     "CacheHit",
     "TieredKVStore",
     # selection
-    "SelectionParam",
     "CompressionSelectionPolicy",
     "SelectionSpec",
     "register_selection",
-    "get_selection_policy",
     "selection_policies",
-    "has_selection_policy",
     "selection_spec",
     "parse_selection",
     "canonical_selection",

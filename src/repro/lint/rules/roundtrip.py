@@ -15,43 +15,13 @@ legacy-alias shadowing hazard in the method grammar.
 
 from __future__ import annotations
 
-import importlib
 import inspect
+from itertools import combinations
 from pathlib import Path
 
 from ..core import Finding, ProjectContext, Rule, register_rule
 
-__all__ = ["RoundTripRule", "CrossRoleUniquenessRule", "REGISTRIES"]
-
-#: (role, module, enumerator, parse, canonical) for every registry
-#: speaking the ``family?k=v`` grammar.  The catalog-coverage rule
-#: (REPRO401) discovers enumerators statically; this table is the
-#: import-side mirror and is itself covered by REPRO401's sweep (an
-#: enumerator missing here still has to show up in ``cli list``).
-REGISTRIES = (
-    ("method", "repro.methods.spec",
-     "method_families", "parse_method", "canonical_method"),
-    ("arrival", "repro.workload.arrivals",
-     "arrival_processes", "parse_arrival", "canonical_arrival"),
-    ("dispatch", "repro.sim.scheduling",
-     "dispatch_policies", "parse_scheduler", "canonical_scheduler"),
-    ("placement", "repro.sim.scheduling",
-     "placement_policies", "parse_scheduler", "canonical_scheduler"),
-    ("kvstore", "repro.kvstore.spec",
-     "kvstore_families", "parse_kvstore", "canonical_kvstore"),
-    ("eviction", "repro.kvstore.spec",
-     "eviction_policies", "parse_kvstore", "canonical_kvstore"),
-    ("selection", "repro.kvstore.selection",
-     "selection_policies", "parse_selection", "canonical_selection"),
-    ("fault", "repro.sim.faults",
-     "fault_families", "parse_faults", "canonical_faults"),
-    ("recovery", "repro.sim.recovery",
-     "recovery_policies", "parse_recovery", "canonical_recovery"),
-    ("autoscaler", "repro.sim.elastic",
-     "autoscaler_policies", "parse_autoscaler", "canonical_autoscaler"),
-    ("admission", "repro.sim.elastic",
-     "admission_policies", "parse_admission", "canonical_admission"),
-)
+__all__ = ["RoundTripRule", "CrossRoleUniquenessRule", "check_roundtrip"]
 
 
 def _anchor(project: ProjectContext, obj) -> tuple[str, int]:
@@ -114,16 +84,16 @@ class RoundTripRule(Rule):
         "family (bare name and full default signature)")
     project_rule = True
 
-    #: Overridable in tests: same shape as :data:`REGISTRIES`.
-    table = REGISTRIES
+    def registries(self):
+        """``(role, families, parse, canonical)`` per registry: the
+        kernel's role table (overridable in tests)."""
+        from repro.spec import roles
+
+        return [(role.name, role.registry.families(), role.spec.parse,
+                 role.spec.canonicalize) for role in roles()]
 
     def check_project(self, project: ProjectContext):
-        for role, module_name, enum_name, parse_name, canon_name \
-                in self.table:
-            module = importlib.import_module(module_name)
-            families = getattr(module, enum_name)()
-            parse = getattr(module, parse_name)
-            canonical = getattr(module, canon_name)
+        for role, families, parse, canonical in self.registries():
             for obj, text, problem in check_roundtrip(
                     families, parse, canonical):
                 path, line = _anchor(project, obj)
@@ -145,38 +115,36 @@ class CrossRoleUniquenessRule(Rule):
     project_rule = True
 
     def check_project(self, project: ProjectContext):
-        from repro.kvstore.spec import eviction_policies, kvstore_families
-        from repro.sim.scheduling import dispatch_policies, \
-            placement_policies
+        from repro.spec import roles
 
-        pairs = (
-            ("dispatch", dispatch_policies(),
-             "placement", placement_policies()),
-            ("kvstore family", kvstore_families(),
-             "eviction", eviction_policies()),
-        )
-        for role_a, reg_a, role_b, reg_b in pairs:
+        # Roles sharing a Scenario field share its pair grammar.
+        by_field: dict[str, list] = {}
+        for role in roles():
+            by_field.setdefault(role.field, []).append(role)
+        for a, b in (pair for group in by_field.values()
+                     for pair in combinations(group, 2)):
+            reg_a, reg_b = a.registry.entries, b.registry.entries
             for name in sorted(set(reg_a) & set(reg_b)):
                 path, line = _anchor(project, reg_b[name])
                 yield Finding(
                     path=path, line=line, code=self.code,
                     message=f"name {name!r} is registered as both a "
-                            f"{role_a} and a {role_b}; a bare name in "
+                            f"{a.name} and a {b.name}; a bare name in "
                             "the pair grammar must resolve to one role",
                     rule=self.name)
 
         # A legacy method alias resolves before families in
         # parse_method, so an alias naming a *different* family makes
         # that family unreachable by its own name.
-        from repro.methods import spec as method_spec_mod
-        legacy = method_spec_mod._LEGACY
-        families = method_spec_mod.method_families()
-        for alias, entry in legacy.items():
-            if alias in families and entry.spec.family != alias:
+        from repro.methods.spec import FAMILIES, LEGACY
+
+        families = FAMILIES.entries
+        for alias, entry in LEGACY.items():
+            if alias in families and entry.spec.kind != alias:
                 path, line = _anchor(project, families[alias])
                 yield Finding(
                     path=path, line=line, code=self.code,
                     message=f"legacy alias {alias!r} (-> family "
-                            f"{entry.spec.family!r}) shadows the "
+                            f"{entry.spec.kind!r}) shadows the "
                             f"registered family {alias!r}",
                     rule=self.name)

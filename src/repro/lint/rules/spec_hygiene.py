@@ -3,7 +3,7 @@
 Every ``*Spec`` in the repo is a frozen dataclass by convention — specs
 are hashable sweep-axis values and dict keys, and a mutable spec would
 silently break canonicalization and artifact identity (REPRO201).  The
-ten open ``family?k=v`` registries each resolve a bare name to one
+eleven open ``family?k=v`` registries each resolve a bare name to one
 family; two ``@register_*`` declarations claiming the same name in the
 same role namespace would make resolution import-order-dependent
 (REPRO202) — the runtime raises at import time, but only on the import
@@ -14,6 +14,7 @@ a static pass should defuse.
 from __future__ import annotations
 
 import ast
+import functools
 
 from ..core import FileContext, ProjectContext, Rule, register_rule
 
@@ -63,25 +64,20 @@ class FrozenSpecRule(Rule):
                     "frozen; declare @dataclass(frozen=True)")
 
 
-#: ``@register_*`` decorator name -> role namespace.  Decorators that
-#: share a string grammar share a namespace (a bare name must resolve
-#: to exactly one role): scheduling's dispatch+placement pair and the
-#: KV store's family+eviction pair.  Unknown register_* decorators
-#: default to their own name, so a brand-new registry is covered the
-#: moment it exists.
-_NAMESPACES = {
-    "register_family": "method",
-    "register_arrival": "arrival",
-    "register_policy": "scheduler",
-    "register_eviction": "kvstore",
-    "register_kvstore_family": "kvstore",
-    "register_selection": "selection",
-    "register_fault": "fault",
-    "register_recovery": "recovery",
-    "register_autoscaler": "autoscaler",
-    "register_admission": "admission",
-    "register_rule": "lint-rule",
-}
+@functools.cache
+def _namespaces() -> dict[str, str]:
+    """``@register_*`` decorator name -> role namespace, from the
+    kernel's role table.  Decorators that share a string grammar share
+    a namespace (a bare name must resolve to exactly one role):
+    scheduling's dispatch+placement pair and the KV store's
+    family+eviction pair.  Unknown register_* decorators default to
+    their own name, so a brand-new registry is covered the moment it
+    exists."""
+    from repro.spec import roles
+
+    out = {role.registry.decorator: role.field for role in roles()}
+    out["register_rule"] = "lint-rule"
+    return out
 
 
 def _registrations(ctx: FileContext):
@@ -102,7 +98,7 @@ def _registrations(ctx: FileContext):
                 continue
             if not deco_name.startswith("register_"):
                 continue
-            namespace = _NAMESPACES.get(deco_name, deco_name)
+            namespace = _namespaces().get(deco_name, deco_name)
             replace = False
             name = None
             if isinstance(deco, ast.Call):

@@ -27,8 +27,6 @@ from .spec import (
     ParamDef,
     apply_method_params,
     canonical_method,
-    get_family,
-    has_registered_family,
     legacy_names,
     method_families,
     method_spec,
@@ -52,7 +50,6 @@ __all__ = [
     "MethodFamily",
     "ParamDef",
     "register_family",
-    "get_family",
     "method_families",
     "method_spec",
     "parse_method",
@@ -60,6 +57,5 @@ __all__ = [
     "canonical_method",
     "split_method_list",
     "apply_method_params",
-    "has_registered_family",
     "legacy_names",
 ]

@@ -56,8 +56,8 @@ import numpy as np
 from ..cluster.instances import DEFAULT_DECODE_COUNT, DEFAULT_PREFILL_FLEETS, \
     canonical_fleet, instance_for_gpu, parse_fleet_spec
 from ..cluster.parallelism import ReplicaResources, replica_resources
-from ..kvstore.selection import SelectionSpec, selection_spec
-from ..kvstore.spec import KVStoreSpec, kvstore_spec
+from ..kvstore.selection import SelectionSpec
+from ..kvstore.spec import KVStoreSpec
 from ..methods.base import Method
 from ..model.config import ModelSpec
 from ..perfmodel.calibration import Calibration, DEFAULT_CALIBRATION
@@ -65,13 +65,13 @@ from ..perfmodel.decode import BatchCostModel
 from ..perfmodel.prefill import prefill_time
 from ..perfmodel.transfer import DEFAULT_PIPELINE_STAGES, kv_wire_bytes, \
     make_network_model
+from ..spec import field_roles
 from ..workload.traces import TraceRequest
-from .elastic import AdmissionSpec, AutoscalerSpec, DEFAULT_AUTOSCALER, \
-    admission_spec, autoscaler_spec
-from .faults import FaultPlan, faults_spec
-from .recovery import DEFAULT_RECOVERY, RecoverySpec, recovery_spec
+from .elastic import AdmissionSpec, AutoscalerSpec, DEFAULT_AUTOSCALER
+from .faults import FaultPlan, check_kvstore_outages
+from .recovery import DEFAULT_RECOVERY, RecoverySpec
 from .request import BUCKETS, SimRequest, nearest_rank
-from .scheduling import SchedulerSpec, scheduler_spec
+from .scheduling import SchedulerSpec
 
 __all__ = ["ClusterConfig", "SimulationResult", "Simulator", "simulate",
            "default_cluster", "DEFAULT_TTFT_SLO_S", "DEFAULT_TBT_SLO_S"]
@@ -172,36 +172,13 @@ class ClusterConfig:
                 f"step_mode must be 'span' or 'token', got "
                 f"{self.step_mode!r}"
             )
-        if self.scheduler is not None \
-                and not isinstance(self.scheduler, SchedulerSpec):
-            # Accept the grammar string every adjacent API takes
-            # (fails fast on bad policies instead of at Simulator
-            # construction).
-            object.__setattr__(self, "scheduler",
-                               scheduler_spec(self.scheduler))
-        if self.kvstore is not None \
-                and not isinstance(self.kvstore, KVStoreSpec):
-            object.__setattr__(self, "kvstore",
-                               kvstore_spec(self.kvstore))
-        if self.selection is not None \
-                and not isinstance(self.selection, SelectionSpec):
-            object.__setattr__(self, "selection",
-                               selection_spec(self.selection))
-        if self.faults is not None \
-                and not isinstance(self.faults, FaultPlan):
-            object.__setattr__(self, "faults", faults_spec(self.faults))
-        if self.recovery is not None \
-                and not isinstance(self.recovery, RecoverySpec):
-            object.__setattr__(self, "recovery",
-                               recovery_spec(self.recovery))
-        if self.autoscaler is not None \
-                and not isinstance(self.autoscaler, AutoscalerSpec):
-            object.__setattr__(self, "autoscaler",
-                               autoscaler_spec(self.autoscaler))
-        if self.admission is not None \
-                and not isinstance(self.admission, AdmissionSpec):
-            object.__setattr__(self, "admission",
-                               admission_spec(self.admission))
+        # Accept the grammar string every adjacent API takes for each
+        # spec field (fails fast on bad policies instead of at Simulator
+        # construction).
+        for name, role in field_roles().items():
+            value = getattr(self, name, None)
+            if value is not None:
+                object.__setattr__(self, name, role.spec.from_ref(value))
         if self.prefill_fleets is not None:
             if not self.prefill_fleets:
                 raise ValueError("prefill_fleets must name >= 1 fleet")
@@ -320,20 +297,11 @@ def default_cluster(model: ModelSpec, method: Method, prefill_gpu: str,
     }
     if step_mode is not None:
         extra["step_mode"] = step_mode
-    if scheduler is not None:
-        extra["scheduler"] = scheduler_spec(scheduler)
-    if kvstore is not None:
-        extra["kvstore"] = kvstore_spec(kvstore)
-    if selection is not None:
-        extra["selection"] = selection_spec(selection)
-    if faults is not None:
-        extra["faults"] = faults_spec(faults)
-    if recovery is not None:
-        extra["recovery"] = recovery_spec(recovery)
-    if autoscaler is not None:
-        extra["autoscaler"] = autoscaler_spec(autoscaler)
-    if admission is not None:
-        extra["admission"] = admission_spec(admission)
+    # ClusterConfig parses spec strings itself.
+    specs = {"scheduler": scheduler, "kvstore": kvstore,
+             "selection": selection, "faults": faults, "recovery": recovery,
+             "autoscaler": autoscaler, "admission": admission}
+    extra.update({k: v for k, v in specs.items() if v is not None})
     if len(resolved) > 1:
         extra["prefill_fleets"] = tuple(resolved)
         gpu_label = canonical_fleet(tuple(resolved))
@@ -825,21 +793,7 @@ class Simulator:
         #: un-credit the wire time it threw away.
         self._inflight: dict[int, tuple[SimRequest, float]] = {}
         if self._faults_enabled:
-            for spec in self.faults.faults:
-                if spec.kind != "kvstore_outage":
-                    continue
-                if self.kvstore is None:
-                    raise ValueError(
-                        "kvstore_outage faults need a kvstore "
-                        "configured on the cluster"
-                    )
-                tier = spec.resolved_params()["tier"]
-                names = [t.spec.name for t in self.kvstore.tiers]
-                if tier not in names:
-                    raise ValueError(
-                        f"kvstore_outage tier {tier!r} is not in the "
-                        f"configured store (tiers: {', '.join(names)})"
-                    )
+            check_kvstore_outages(self.faults, self.kvstore)
             rspec = config.recovery if config.recovery is not None \
                 else RecoverySpec(DEFAULT_RECOVERY)
             self.recovery = rspec.build()

@@ -36,12 +36,13 @@ threads through its heap:
 
 from __future__ import annotations
 
-import difflib
 import hashlib
-import re
 from dataclasses import dataclass
 
 import numpy as np
+
+from ..spec import Family, FamilySpec, Grammar, Param, Registry, all_known, \
+    split_spec_list
 
 __all__ = [
     "FaultParam",
@@ -49,31 +50,21 @@ __all__ = [
     "FaultSpec",
     "FaultPlan",
     "register_fault",
-    "get_fault_family",
     "fault_families",
     "has_fault_families",
-    "faults_spec",
     "parse_faults",
     "canonical_faults",
     "split_faults_list",
+    "check_kvstore_outages",
 ]
-
-_NAME_RE = re.compile(r"^[a-z][a-z0-9_]*$")
 
 #: Replica roles a crash family may target.
 _ROLES = ("prefill", "decode")
 
-
-@dataclass(frozen=True)
-class FaultParam:
-    """One fault parameter: the default fixes the type (float, or a
-    word-safe string — e.g. a replica role or tier name)."""
-
-    default: object
-    doc: str = ""
+FaultParam = Param
 
 
-class FaultFamily:
+class FaultFamily(Family):
     """One kind of injected fault.
 
     Subclasses set :attr:`name`, :attr:`description`, :attr:`params`
@@ -90,16 +81,6 @@ class FaultFamily:
       families without one return 0).
     """
 
-    #: Registry key; also the prefix of the string grammar.
-    name: str = "abstract"
-    #: One-line summary shown by ``cli list``.
-    description: str = ""
-    #: Parameter table: name -> :class:`FaultParam`.
-    params: dict[str, FaultParam] = {}
-
-    def __init__(self, **params) -> None:
-        self.p = params
-
     def events(self, rng: np.random.Generator, horizon_s: float,
                n_prefill: int, n_decode: int) -> list:
         """Timeline contribution: ``(time_s, kind, payload)`` tuples.
@@ -115,177 +96,23 @@ class FaultFamily:
         """Per-transfer failure probability this family contributes."""
         return 0.0
 
-    @classmethod
-    def validate(cls, **params) -> None:
-        """Raise ``ValueError`` for out-of-range parameter values."""
 
-    @classmethod
-    def signature(cls) -> str:
-        """Grammar template with defaults."""
-        if not cls.params:
-            return cls.name
-        parts = [f"{name}={pd.default}" for name, pd in cls.params.items()]
-        return f"{cls.name}?{','.join(parts)}"
+FAULTS = Registry("fault family", "register_fault", base=FaultFamily)
+#: The registry's entries, by name.
+_FAULTS = FAULTS.entries
+register_fault = FAULTS.register
+fault_families = FAULTS.families
 
 
-_FAULTS: dict[str, type] = {}
+class FaultSpec(FamilySpec):
+    """One declarative fault reference: family + parameters
+    (``transfer_flap?p_fail=0.05``)."""
 
-
-def register_fault(cls=None, *, replace: bool = False):
-    """Class decorator registering a fault family."""
-
-    def decorator(obj):
-        if not (isinstance(obj, type) and issubclass(obj, FaultFamily)):
-            raise TypeError(
-                f"{getattr(obj, '__name__', obj)!r} must subclass "
-                "FaultFamily"
-            )
-        if not _NAME_RE.match(obj.name or ""):
-            raise ValueError(
-                f"fault family name {obj.name!r} must match "
-                f"{_NAME_RE.pattern}"
-            )
-        if obj.name in _FAULTS and not replace:
-            raise ValueError(
-                f"fault family {obj.name!r} is already registered; pass "
-                "register_fault(replace=True) to override"
-            )
-        for pname, pd in obj.params.items():
-            ok_float = isinstance(pd.default, (int, float)) \
-                and not isinstance(pd.default, bool)
-            ok_str = isinstance(pd.default, str) and pd.default
-            if not (ok_float or ok_str):
-                raise ValueError(
-                    f"parameter {pname!r} default must be a number or a "
-                    f"non-empty string, got {pd.default!r}"
-                )
-        _FAULTS[obj.name] = obj
-        return obj
-
-    if cls is not None:
-        return decorator(cls)
-    return decorator
-
-
-def get_fault_family(name: str) -> type:
-    """Look up a fault family, with typo suggestions."""
-    try:
-        return _FAULTS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown fault family {name!r}{_suggest(name, _FAULTS)}"
-        ) from None
-
-
-def fault_families() -> dict[str, type]:
-    """All registered families (a copy, registration order)."""
-    return dict(_FAULTS)
-
-
-def has_fault_families(reference: str) -> bool:
-    """True when every ``+``-part of a string fault reference names a
-    family registered in this process (parameters may still be
-    invalid)."""
-    parts = [p.strip() for p in reference.strip().split("+")]
-    return bool(parts) and all(
-        part.partition("?")[0].strip() in _FAULTS for part in parts
-    )
-
-
-def _suggest(name: str, candidates) -> str:
-    matches = difflib.get_close_matches(name, list(candidates), n=3)
-    if matches:
-        return "; did you mean " + " or ".join(repr(m) for m in matches) + "?"
-    return f"; choose from {', '.join(sorted(candidates))}"
-
-
-def _coerce(kind: str, name: str, pd: FaultParam, value):
-    where = f"parameter {name!r} of fault family {kind!r}"
-    if isinstance(pd.default, str):
-        if not isinstance(value, str):
-            raise ValueError(f"{where} expects a string, got {value!r}")
-        if not value or any(c in value for c in ",=?+ "):
-            raise ValueError(
-                f"{where} string values must be non-empty and free of "
-                f"',', '=', '?', '+' and spaces; got {value!r}"
-            )
-        return value
-    if isinstance(value, bool):
-        raise ValueError(f"{where} expects a number, got {value!r}")
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ValueError(
-            f"{where} expects a number, got {value!r}"
-        ) from None
-
-
-# -- the specs ----------------------------------------------------------------
-
-@dataclass(frozen=True)
-class FaultSpec:
-    """One declarative fault reference: family + parameters.
-
-    ``params`` holds only the parameters given explicitly, coerced to
-    the family's declared types and sorted; an explicitly-given default
-    is kept (``transfer_flap?p_fail=0.05`` stays distinct from
-    ``transfer_flap``)."""
-
-    kind: str
-    params: tuple[tuple[str, object], ...] = ()
-
-    def __post_init__(self) -> None:
-        family = get_fault_family(self.kind)
-        items = self.params.items() if isinstance(self.params, dict) \
-            else self.params
-        normalized: dict[str, object] = {}
-        for key, value in items:
-            if key not in family.params:
-                raise ValueError(
-                    f"fault family {self.kind!r} has no parameter "
-                    f"{key!r}{_suggest(key, family.params)}"
-                )
-            if key in normalized:
-                raise ValueError(
-                    f"parameter {key!r} given twice for fault family "
-                    f"{self.kind!r}"
-                )
-            normalized[key] = _coerce(self.kind, key, family.params[key],
-                                      value)
-        object.__setattr__(self, "params", tuple(sorted(normalized.items())))
-        family.validate(**self.resolved_params())
-
-    @classmethod
-    def of(cls, kind: str, **params) -> "FaultSpec":
-        return cls(kind, tuple(params.items()))
-
-    def resolved_params(self) -> dict:
-        """Family defaults overlaid with this spec's parameters."""
-        family = get_fault_family(self.kind)
-        out = {name: pd.default for name, pd in family.params.items()}
-        out.update(self.params)
-        return out
-
-    def build(self) -> FaultFamily:
-        """A fresh family instance."""
-        return get_fault_family(self.kind)(**self.resolved_params())
-
-    def canonical(self) -> str:
-        """Compact string form, e.g. ``transfer_flap?p_fail=0.05``."""
-        if not self.params:
-            return self.kind
-        parts = []
-        for k, v in self.params:
-            parts.append(f"{k}={v!r}" if isinstance(v, float)
-                         else f"{k}={v}")
-        return f"{self.kind}?{','.join(parts)}"
-
-    def __str__(self) -> str:
-        return self.canonical()
+    registry = FAULTS
 
 
 @dataclass(frozen=True)
-class FaultPlan:
+class FaultPlan(Grammar):
     """A ``+``-composition of fault specs (order-preserving; one family
     may appear several times, e.g. two brownout windows)."""
 
@@ -299,15 +126,34 @@ class FaultPlan:
 
     @classmethod
     def of(cls, *specs) -> "FaultPlan":
-        return cls(tuple(faults_spec(s).faults[0] if isinstance(s, str)
-                         else s for s in specs))
+        return cls(tuple(FaultSpec.parse(s) if isinstance(s, str) else s
+                         for s in specs))
+
+    @classmethod
+    def parse(cls, text: str) -> "FaultPlan":
+        """Parse ``fault[+fault]`` (each ``family[?key=value,…]``)."""
+        parts = text.strip().split("+")
+        if not all(p.strip() for p in parts):
+            raise ValueError(
+                f"bad fault plan {text!r}; the grammar is "
+                "family[?k=v,…][+family[?k=v,…]…]"
+            )
+        return cls(tuple(FaultSpec.parse(p) for p in parts))
+
+    @classmethod
+    def known(cls, text: str) -> bool:
+        return all_known(text, FAULTS)
+
+    @classmethod
+    def from_ref(cls, reference) -> "FaultPlan":
+        """The plan behind a plan, a single spec or a grammar string."""
+        if isinstance(reference, FaultSpec):
+            return cls((reference,))
+        return super().from_ref(reference)
 
     def canonical(self) -> str:
         """Compact string form: specs joined by ``+``."""
         return "+".join(spec.canonical() for spec in self.faults)
-
-    def __str__(self) -> str:
-        return self.canonical()
 
     def rng_seed(self) -> int:
         """Deterministic seed derived from the canonical plan string —
@@ -343,77 +189,30 @@ class FaultPlan:
         return 1.0 - survive
 
 
-# -- string grammar -----------------------------------------------------------
-
-def parse_faults(text: str) -> FaultPlan:
-    """Parse ``fault[+fault]`` (each ``family[?key=value,…]``) into a
-    :class:`FaultPlan`."""
-    parts = [p.strip() for p in text.strip().split("+")]
-    if not parts or not all(parts):
-        raise ValueError(
-            f"bad fault plan {text!r}; the grammar is "
-            "family[?k=v,…][+family[?k=v,…]…]"
-        )
-    specs = []
-    for part in parts:
-        kind, sep, rest = part.partition("?")
-        kind = kind.strip()
-        if kind not in _FAULTS:
-            raise ValueError(
-                f"unknown fault family {kind!r}{_suggest(kind, _FAULTS)}"
-            )
-        pairs = []
-        if sep:
-            for item in rest.split(","):
-                key, eq, value = item.partition("=")
-                key, value = key.strip(), value.strip()
-                if not eq or not key or not value:
-                    raise ValueError(
-                        f"bad fault parameter {item!r} in {text!r}; the "
-                        "grammar is family?key=value,key=value"
-                    )
-                pairs.append((key, value))
-        specs.append(FaultSpec(kind, tuple(pairs)))
-    return FaultPlan(tuple(specs))
-
-
-def faults_spec(reference) -> FaultPlan:
-    """The :class:`FaultPlan` behind any fault reference: a plan, a
-    single spec, or a grammar string."""
-    if isinstance(reference, FaultPlan):
-        return reference
-    if isinstance(reference, FaultSpec):
-        return FaultPlan((reference,))
-    if isinstance(reference, str):
-        return parse_faults(reference)
-    raise TypeError(
-        f"expected a FaultPlan, FaultSpec or string, got "
-        f"{type(reference).__name__}"
-    )
-
-
-def canonical_faults(reference) -> str:
-    """The canonical string form of a fault reference."""
-    return faults_spec(reference).canonical()
-
-
-def split_faults_list(text: str) -> list[str]:
-    """Split a comma-separated fault-plan list, keeping fault
-    parameters attached:
-    ``"transfer_flap,replica_crash?mttf=300,mttr=20+nic_degrade"``
-    splits after ``transfer_flap`` only (a ``key=value`` token
-    following an open ``?`` clause continues that clause)."""
-    parts: list[str] = []
-    for token in text.split(","):
-        token = token.strip()
-        if not token:
+def check_kvstore_outages(plan: FaultPlan, store) -> None:
+    """Raise ``ValueError`` unless every ``kvstore_outage`` in ``plan``
+    names a tier of ``store`` (a built store, or None for no store)."""
+    for spec in plan.faults:
+        if spec.kind != "kvstore_outage":
             continue
-        if parts and "=" in token and "?" not in token \
-                and "?" in parts[-1].rsplit("+", 1)[-1]:
-            parts[-1] += "," + token
-        else:
-            parts.append(token)
-    return parts
+        if store is None:
+            raise ValueError(
+                "kvstore_outage faults need a kvstore configured on the "
+                "cluster"
+            )
+        tier = spec.resolved_params()["tier"]
+        names = [t.spec.name for t in store.tiers]
+        if tier not in names:
+            raise ValueError(
+                f"kvstore_outage tier {tier!r} is not in the configured "
+                f"store (tiers: {', '.join(names)})"
+            )
+
+
+parse_faults = FaultPlan.parse
+canonical_faults = FaultPlan.canonicalize
+has_fault_families = FaultPlan.known
+split_faults_list = split_spec_list
 
 
 # -- built-in families --------------------------------------------------------
@@ -424,10 +223,10 @@ class ReplicaCrashFault(FaultFamily):
     description = ("seeded exponential crash/repair cycles on prefill "
                    "or decode replicas (MTTF/MTTR in seconds)")
     params = {
-        "mttf": FaultParam(600.0, "mean time to failure, seconds"),
-        "mttr": FaultParam(30.0, "mean time to repair, seconds"),
-        "role": FaultParam("decode", "replica role: prefill or decode"),
-        "replicas": FaultParam(
+        "mttf": Param(600.0, "mean time to failure, seconds"),
+        "mttr": Param(30.0, "mean time to repair, seconds"),
+        "role": Param("decode", "replica role: prefill or decode"),
+        "replicas": Param(
             1.0, "how many replicas of the role crash (clamped to the "
                  "fleet, always leaving one replica unaffected when the "
                  "fleet has more than one)"),
@@ -476,9 +275,9 @@ class NicDegradeFault(FaultFamily):
     description = ("NIC bandwidth brownout: transfers starting inside "
                    "the window run at factor x bandwidth")
     params = {
-        "factor": FaultParam(0.25, "bandwidth multiplier in (0, 1]"),
-        "start": FaultParam(60.0, "window start, seconds"),
-        "duration": FaultParam(60.0, "window length, seconds"),
+        "factor": Param(0.25, "bandwidth multiplier in (0, 1]"),
+        "start": Param(60.0, "window start, seconds"),
+        "duration": Param(60.0, "window length, seconds"),
     }
 
     @classmethod
@@ -508,7 +307,7 @@ class TransferFlapFault(FaultFamily):
     description = ("each KV transfer independently fails with "
                    "probability p_fail (drawn at transfer start)")
     params = {
-        "p_fail": FaultParam(0.05, "per-transfer failure probability"),
+        "p_fail": Param(0.05, "per-transfer failure probability"),
     }
 
     @classmethod
@@ -529,9 +328,9 @@ class KVStoreOutageFault(FaultFamily):
                    "miss (reads fall through), writes land in the top "
                    "surviving tier")
     params = {
-        "tier": FaultParam("dram", "tier name (hbm, dram or pool)"),
-        "start": FaultParam(120.0, "outage start, seconds"),
-        "duration": FaultParam(120.0, "outage length, seconds"),
+        "tier": Param("dram", "tier name (hbm, dram or pool)"),
+        "start": Param(120.0, "outage start, seconds"),
+        "duration": Param(120.0, "outage length, seconds"),
     }
 
     @classmethod

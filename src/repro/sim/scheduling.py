@@ -40,49 +40,32 @@ precompute per-replica information from the simulator (e.g.
 
 from __future__ import annotations
 
-import difflib
-import re
 from dataclasses import dataclass
 
 import numpy as np
 
+from ..spec import Family, FamilySpec, Grammar, Param, Registry, all_known, \
+    parse_pair, split_spec_list
+
 __all__ = [
-    "PolicyParam",
-    "SchedulingPolicy",
     "PrefillDispatchPolicy",
     "DecodePlacementPolicy",
     "PolicySpec",
     "SchedulerSpec",
     "register_policy",
-    "get_dispatch_policy",
-    "get_placement_policy",
     "dispatch_policies",
     "placement_policies",
-    "has_scheduler_policies",
-    "scheduler_spec",
     "parse_scheduler",
     "canonical_scheduler",
     "split_scheduler_list",
-    "DEFAULT_DISPATCH",
-    "DEFAULT_PLACEMENT",
 ]
-
-_NAME_RE = re.compile(r"^[a-z][a-z0-9_]*$")
 
 #: The paper's §7.1 policy pair (the engine default).
 DEFAULT_DISPATCH = "splitwise"
 DEFAULT_PLACEMENT = "shortest_queue"
 
 
-@dataclass(frozen=True)
-class PolicyParam:
-    """One policy parameter: a float default plus a one-line doc."""
-
-    default: float
-    doc: str = ""
-
-
-class SchedulingPolicy:
+class SchedulingPolicy(Family):
     """Shared base of both policy roles (see subclasses).
 
     Subclasses set :attr:`name`, :attr:`description` and :attr:`params`
@@ -91,33 +74,10 @@ class SchedulingPolicy:
     :meth:`bind` to precompute per-replica state from the simulator.
     """
 
-    #: Registry key; also the prefix of the string grammar.
-    name: str = "abstract"
-    #: One-line summary shown by ``cli list``.
-    description: str = ""
-    #: Parameter table: name -> :class:`PolicyParam` (floats only).
-    params: dict[str, PolicyParam] = {}
-
-    def __init__(self, **params: float) -> None:
-        self.p = params
-
     def bind(self, sim) -> None:
         """Called once before the simulation starts; ``sim`` is the
         :class:`~repro.sim.engine.Simulator` (its replica lists are
         built but no event has run)."""
-
-    @classmethod
-    def validate(cls, **params: float) -> None:
-        """Raise ``ValueError`` for out-of-range parameter values
-        (called before any instance is constructed)."""
-
-    @classmethod
-    def signature(cls) -> str:
-        """Grammar template with defaults, e.g. ``random?seed=0.0``."""
-        if not cls.params:
-            return cls.name
-        parts = [f"{name}={pd.default!r}" for name, pd in cls.params.items()]
-        return f"{cls.name}?{','.join(parts)}"
 
 
 class PrefillDispatchPolicy(SchedulingPolicy):
@@ -130,8 +90,6 @@ class PrefillDispatchPolicy(SchedulingPolicy):
     ``res`` (the replica's :class:`~repro.cluster.parallelism
     .ReplicaResources` — heterogeneous fleets make these differ).
     """
-
-    role = "dispatch"
 
     def choose(self, now: float, req, replicas) -> int:
         """Index of the chosen replica (must be in range)."""
@@ -150,7 +108,6 @@ class DecodePlacementPolicy(SchedulingPolicy):
     when false (surfaced as ``SimulationResult.n_rejected``).
     """
 
-    role = "placement"
     #: Whether a full cluster spills to the DéjàVu CPU swap (the §5.1
     #: behaviour) or rejects the request.
     swap_on_full = True
@@ -160,215 +117,92 @@ class DecodePlacementPolicy(SchedulingPolicy):
         raise NotImplementedError
 
 
-_DISPATCH: dict[str, type] = {}
-_PLACEMENT: dict[str, type] = {}
+#: Dispatch and placement names share one namespace, so a bare name in
+#: the pair grammar resolves to its role.
+DISPATCH = Registry("dispatch policy", "register_policy",
+                    base=PrefillDispatchPolicy)
+PLACEMENT = Registry("placement policy", "register_policy",
+                     base=DecodePlacementPolicy, shares=DISPATCH)
+dispatch_policies = DISPATCH.families
+placement_policies = PLACEMENT.families
 
 
 def register_policy(cls=None, *, replace: bool = False):
-    """Class decorator registering a policy family.
-
-    Works on subclasses of :class:`PrefillDispatchPolicy` or
-    :class:`DecodePlacementPolicy`; the role is inferred from the base
-    class.  Names must be unique *across both registries* so the string
-    grammar can resolve a bare name to its role.  Registering an
-    existing name raises unless ``replace=True``.
-    """
+    """Class decorator registering a dispatch or placement policy; the
+    role is inferred from the base class."""
 
     def decorator(obj):
-        if issubclass(obj, PrefillDispatchPolicy):
-            registry = _DISPATCH
-        elif issubclass(obj, DecodePlacementPolicy):
-            registry = _PLACEMENT
-        else:
-            raise TypeError(
-                f"{obj.__name__} must subclass PrefillDispatchPolicy or "
-                "DecodePlacementPolicy"
-            )
-        if not _NAME_RE.match(obj.name or ""):
-            raise ValueError(
-                f"policy name {obj.name!r} must match {_NAME_RE.pattern}"
-            )
-        taken = (obj.name in _DISPATCH or obj.name in _PLACEMENT)
-        if taken and not replace:
-            raise ValueError(
-                f"scheduling policy {obj.name!r} is already registered; "
-                "pass register_policy(replace=True) to override"
-            )
-        for pname, pd in obj.params.items():
-            if not isinstance(pd.default, (int, float)) \
-                    or isinstance(pd.default, bool):
-                raise ValueError(
-                    f"parameter {pname!r} default must be a number, got "
-                    f"{type(pd.default).__name__}"
-                )
-        registry[obj.name] = obj
-        return obj
+        if isinstance(obj, type) and issubclass(obj, DecodePlacementPolicy):
+            return PLACEMENT.register(obj, replace=replace)
+        return DISPATCH.register(obj, replace=replace)
 
-    if cls is not None:
-        return decorator(cls)
-    return decorator
+    return decorator(cls) if cls is not None else decorator
 
 
-def get_dispatch_policy(name: str) -> type:
-    """Look up a dispatch family, with typo suggestions."""
-    try:
-        return _DISPATCH[name]
-    except KeyError:
+class DispatchSpec(FamilySpec):
+    """One dispatch-policy reference (``random?seed=7.0``)."""
+
+    registry = DISPATCH
+    role = "dispatch"
+
+
+class PlacementSpec(FamilySpec):
+    """One placement-policy reference."""
+
+    registry = PLACEMENT
+    role = "placement"
+
+
+def PolicySpec(role: str, kind: str, params=()) -> FamilySpec:
+    """One policy reference; ``role`` (``"dispatch"`` or
+    ``"placement"``) selects the registry."""
+    specs = {"dispatch": DispatchSpec, "placement": PlacementSpec}
+    if role not in specs:
         raise ValueError(
-            f"unknown dispatch policy {name!r}"
-            f"{_suggest(name, [*_DISPATCH, *_PLACEMENT])}"
-        ) from None
-
-
-def get_placement_policy(name: str) -> type:
-    """Look up a placement family, with typo suggestions."""
-    try:
-        return _PLACEMENT[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown placement policy {name!r}"
-            f"{_suggest(name, [*_DISPATCH, *_PLACEMENT])}"
-        ) from None
-
-
-def dispatch_policies() -> dict[str, type]:
-    """All registered dispatch families (a copy, registration order)."""
-    return dict(_DISPATCH)
-
-
-def placement_policies() -> dict[str, type]:
-    """All registered placement families (a copy, registration order)."""
-    return dict(_PLACEMENT)
-
-
-def has_scheduler_policies(reference: str) -> bool:
-    """True when every ``+``-part of a string scheduler reference names
-    a policy registered in this process (parameters may still be
-    invalid)."""
-    parts = [p.strip() for p in reference.strip().split("+")]
-    return all(
-        part.partition("?")[0].strip() in _DISPATCH
-        or part.partition("?")[0].strip() in _PLACEMENT
-        for part in parts
-    ) and bool(parts)
-
-
-def _suggest(name: str, candidates) -> str:
-    candidates = list(dict.fromkeys(candidates))
-    matches = difflib.get_close_matches(name, candidates, n=3)
-    if matches:
-        return "; did you mean " + " or ".join(repr(m) for m in matches) + "?"
-    return f"; choose from {', '.join(sorted(candidates))}"
-
-
-# -- the specs ----------------------------------------------------------------
-
-@dataclass(frozen=True)
-class PolicySpec:
-    """One declarative policy reference: family + parameters.
-
-    ``role`` is ``"dispatch"`` or ``"placement"`` and selects the
-    registry the family is validated against.  ``params`` holds only
-    the parameters given explicitly (family defaults fill the rest at
-    build time), coerced to float and sorted, so different spellings
-    compare and hash equal; an explicitly-given default is kept
-    (``random?seed=0.0`` stays distinct from ``random``).
-    """
-
-    role: str
-    kind: str
-    params: tuple[tuple[str, float], ...] = ()
-
-    def __post_init__(self) -> None:
-        family = self._family()
-        items = self.params.items() if isinstance(self.params, dict) \
-            else self.params
-        normalized: dict[str, float] = {}
-        for key, value in items:
-            if key not in family.params:
-                raise ValueError(
-                    f"{self.role} policy {self.kind!r} has no parameter "
-                    f"{key!r}{_suggest(key, family.params)}"
-                )
-            if key in normalized:
-                raise ValueError(
-                    f"parameter {key!r} given twice for policy "
-                    f"{self.kind!r}"
-                )
-            try:
-                normalized[key] = float(value)
-            except (TypeError, ValueError):
-                raise ValueError(
-                    f"parameter {key!r} of policy {self.kind!r} expects "
-                    f"a number, got {value!r}"
-                ) from None
-        object.__setattr__(self, "params", tuple(sorted(normalized.items())))
-        family.validate(**self.resolved_params())
-
-    def _family(self) -> type:
-        if self.role == "dispatch":
-            return get_dispatch_policy(self.kind)
-        if self.role == "placement":
-            return get_placement_policy(self.kind)
-        raise ValueError(
-            f"policy role must be 'dispatch' or 'placement', got "
-            f"{self.role!r}"
-        )
-
-    @classmethod
-    def of(cls, role: str, kind: str, **params) -> "PolicySpec":
-        return cls(role, kind, tuple(params.items()))
-
-    def resolved_params(self) -> dict[str, float]:
-        """Family defaults overlaid with this spec's parameters."""
-        family = self._family()
-        out = {name: float(pd.default) for name, pd in family.params.items()}
-        out.update(self.params)
-        return out
-
-    def build(self) -> SchedulingPolicy:
-        """A fresh policy instance (policies may hold per-run state)."""
-        return self._family()(**self.resolved_params())
-
-    def canonical(self) -> str:
-        """Compact string form, e.g. ``random?seed=7.0``."""
-        if not self.params:
-            return self.kind
-        parts = [f"{k}={v!r}" for k, v in self.params]
-        return f"{self.kind}?{','.join(parts)}"
-
-    def __str__(self) -> str:
-        return self.canonical()
+            f"policy role must be 'dispatch' or 'placement', got {role!r}")
+    return specs[role](kind, params)
 
 
 @dataclass(frozen=True)
-class SchedulerSpec:
+class SchedulerSpec(Grammar):
     """A dispatch/placement policy pair; ``None`` keeps the §7.1
     default for that role (and canonicalizes/serializes without it,
     so what you write is what you get)."""
 
-    dispatch: PolicySpec | None = None
-    placement: PolicySpec | None = None
+    dispatch: DispatchSpec | None = None
+    placement: PlacementSpec | None = None
 
     def __post_init__(self) -> None:
-        if self.dispatch is not None and self.dispatch.role != "dispatch":
-            raise ValueError(
-                f"dispatch slot holds a {self.dispatch.role} policy "
-                f"({self.dispatch.kind!r})"
-            )
-        if self.placement is not None and self.placement.role != "placement":
-            raise ValueError(
-                f"placement slot holds a {self.placement.role} policy "
-                f"({self.placement.kind!r})"
-            )
+        for slot in ("dispatch", "placement"):
+            spec = getattr(self, slot)
+            if spec is not None and spec.role != slot:
+                raise ValueError(
+                    f"{slot} slot holds a {spec.role} policy "
+                    f"({spec.kind!r})")
+
+    @classmethod
+    def parse(cls, text: str) -> "SchedulerSpec":
+        """Parse ``policy[+policy]`` (each ``family[?key=value,…]``);
+        each part's role is inferred from its family name, at most one
+        part per role."""
+        found = parse_pair(
+            text, "scheduler",
+            "dispatch[?k=v,…][+placement[?k=v,…]] (either part may stand "
+            "alone)", "scheduling policy", "policy",
+            {"dispatch policies": DispatchSpec,
+             "placement policies": PlacementSpec})
+        return cls(found.get("dispatch policies"),
+                   found.get("placement policies"))
+
+    @classmethod
+    def known(cls, text: str) -> bool:
+        return all_known(text, DISPATCH, PLACEMENT)
 
     def build_dispatch(self) -> PrefillDispatchPolicy:
-        spec = self.dispatch or PolicySpec("dispatch", DEFAULT_DISPATCH)
-        return spec.build()
+        return (self.dispatch or DispatchSpec(DEFAULT_DISPATCH)).build()
 
     def build_placement(self) -> DecodePlacementPolicy:
-        spec = self.placement or PolicySpec("placement", DEFAULT_PLACEMENT)
-        return spec.build()
+        return (self.placement or PlacementSpec(DEFAULT_PLACEMENT)).build()
 
     def canonical(self) -> str:
         """Compact string form: given parts joined by ``+`` (dispatch
@@ -380,99 +214,10 @@ class SchedulerSpec:
             return f"{DEFAULT_DISPATCH}+{DEFAULT_PLACEMENT}"
         return "+".join(parts)
 
-    def __str__(self) -> str:
-        return self.canonical()
 
-
-# -- string grammar -----------------------------------------------------------
-
-def parse_scheduler(text: str) -> SchedulerSpec:
-    """Parse ``policy[+policy]`` (each ``family[?key=value,…]``) into a
-    :class:`SchedulerSpec`.  Each part's role is inferred from its
-    family name; at most one part per role."""
-    parts = [p.strip() for p in text.strip().split("+")]
-    if not all(parts) or not parts:
-        raise ValueError(
-            f"bad scheduler {text!r}; the grammar is "
-            "dispatch[?k=v,…][+placement[?k=v,…]] (either part may "
-            "stand alone)"
-        )
-    dispatch = placement = None
-    for part in parts:
-        kind, sep, rest = part.partition("?")
-        kind = kind.strip()
-        if kind in _DISPATCH:
-            role = "dispatch"
-        elif kind in _PLACEMENT:
-            role = "placement"
-        else:
-            raise ValueError(
-                f"unknown scheduling policy {kind!r}"
-                f"{_suggest(kind, [*_DISPATCH, *_PLACEMENT])}"
-            )
-        pairs = []
-        if sep:
-            for item in rest.split(","):
-                key, eq, value = item.partition("=")
-                key, value = key.strip(), value.strip()
-                if not eq or not key or not value:
-                    raise ValueError(
-                        f"bad policy parameter {item!r} in {text!r}; the "
-                        "grammar is family?key=value,key=value"
-                    )
-                pairs.append((key, value))
-        spec = PolicySpec(role, kind, tuple(pairs))
-        if role == "dispatch":
-            if dispatch is not None:
-                raise ValueError(
-                    f"scheduler {text!r} names two dispatch policies "
-                    f"({dispatch.kind!r} and {kind!r})"
-                )
-            dispatch = spec
-        else:
-            if placement is not None:
-                raise ValueError(
-                    f"scheduler {text!r} names two placement policies "
-                    f"({placement.kind!r} and {kind!r})"
-                )
-            placement = spec
-    return SchedulerSpec(dispatch=dispatch, placement=placement)
-
-
-def scheduler_spec(reference) -> SchedulerSpec:
-    """The :class:`SchedulerSpec` behind any scheduler reference: a
-    spec or a grammar string."""
-    if isinstance(reference, SchedulerSpec):
-        return reference
-    if isinstance(reference, str):
-        return parse_scheduler(reference)
-    raise TypeError(
-        f"expected a SchedulerSpec or string, got "
-        f"{type(reference).__name__}"
-    )
-
-
-def canonical_scheduler(reference) -> str:
-    """The canonical string form of a scheduler reference."""
-    return scheduler_spec(reference).canonical()
-
-
-def split_scheduler_list(text: str) -> list[str]:
-    """Split a comma-separated scheduler list, keeping policy
-    parameters attached: ``"splitwise,random?seed=3,burst=4+no_swap"``
-    splits after ``splitwise`` only (a ``key=value`` token following an
-    open ``?`` clause continues that clause)."""
-    parts: list[str] = []
-    for token in text.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        if parts and "=" in token and "?" not in token \
-                and "?" in parts[-1].rsplit("+", 1)[-1]:
-            parts[-1] += "," + token
-        else:
-            parts.append(token)
-    return parts
+parse_scheduler = SchedulerSpec.parse
+canonical_scheduler = SchedulerSpec.canonicalize
+split_scheduler_list = split_spec_list
 
 
 # -- built-in dispatch policies -----------------------------------------------
@@ -512,7 +257,7 @@ class RoundRobinDispatch(PrefillDispatchPolicy):
 class RandomDispatch(PrefillDispatchPolicy):
     name = "random"
     description = "uniform random replica from a seeded stream"
-    params = {"seed": PolicyParam(0.0, "RNG seed (deterministic per run)")}
+    params = {"seed": Param(0.0, "RNG seed (deterministic per run)")}
 
     def __init__(self, **params):
         super().__init__(**params)

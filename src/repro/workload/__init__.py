@@ -9,7 +9,6 @@ from .arrivals import (
     arrival_spec,
     canonical_arrival,
     get_arrival_process,
-    has_arrival_process,
     parse_arrival,
     register_arrival,
     split_arrival_list,
@@ -44,7 +43,6 @@ __all__ = [
     "arrival_spec",
     "canonical_arrival",
     "get_arrival_process",
-    "has_arrival_process",
     "parse_arrival",
     "register_arrival",
     "split_arrival_list",

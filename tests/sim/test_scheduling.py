@@ -318,10 +318,10 @@ class TestHeterogeneousFleets:
             sim.run()
 
     def test_replica_override_rejected_for_fleets(self):
-        scenario = Scenario(methods=("baseline",), prefill_gpu="A10G+T4",
-                            n_prefill_replicas=3, n_requests=10)
+        # Rejected when the scenario is built, before any run starts.
         with pytest.raises(ValueError, match="fleet"):
-            Runner().run(scenario)
+            Scenario(methods=("baseline",), prefill_gpu="A10G+T4",
+                     n_prefill_replicas=3, n_requests=10)
 
     def test_config_fleet_total_validated(self):
         with pytest.raises(ValueError, match="summed fleet counts"):
