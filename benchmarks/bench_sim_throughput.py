@@ -22,7 +22,7 @@ Plain script (no pytest fixtures) so CI can smoke it with only numpy
 installed::
 
     PYTHONPATH=src python benchmarks/bench_sim_throughput.py --scale 0.1 \
-        --bench-json BENCH_9.json
+        --bench-json out/bench_sim_throughput.json
 
 ``--bench-json`` writes the numbers machine-readably (per-method
 tokens/s and span-vs-token speedup, plus the kvstore, fault-path,
@@ -243,6 +243,7 @@ def main(argv: list[str] | None = None) -> int:
           f"{lint['suppressed']} pragma-suppressed)")
     if args.bench_json:
         path = Path(args.bench_json)
+        path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
         print(f"wrote {path}", file=sys.stderr)
     return 0

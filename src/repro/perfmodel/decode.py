@@ -250,6 +250,21 @@ class BatchCostModel:
         q, r = np.divmod(n, self._pi)
         return self._pi * (q * (q + 1)) // 2 + r * (q + 1)
 
+    def _stair_prefix(self, ctx0: np.ndarray, k: int) -> np.ndarray:
+        """``Σ_j Σ_{t<i} ceil((ctx0_j+t)/Π)`` for ``i = 1..k`` (exact
+        integers) in O(k + batch + Π).
+
+        Iteration ``t``'s sum exceeds iteration ``t-1``'s by the number
+        of requests with ``(c_j+t-1) mod Π = 0``, i.e. with residue
+        ``(c_j-1) mod Π = -t mod Π``: one ``bincount`` of the residues
+        gives every step, and two cumulative sums the prefix sums.
+        """
+        pi = self._pi
+        residues = np.bincount((ctx0 - 1) % pi, minlength=pi)
+        steps = residues[-np.arange(k) % pi]
+        steps[0] = int(((ctx0 + (pi - 1)) // pi).sum())
+        return np.cumsum(np.cumsum(steps))
+
     def span(self, ctx0, k: int) -> SpanTotals:
         """Totals of ``k`` consecutive iterations of one fixed batch.
 
@@ -308,19 +323,28 @@ class BatchCostModel:
         batch = int(ctx0.size)
         i = np.arange(1, k + 1, dtype=np.int64)
         n_costs = batch * i
-        s1 = i * int(ctx0.sum()) + batch * (i * (i - 1) // 2)
-        kv_read = self._a_kv * s1
-        compute = self._a_cmp * s1 + self._b_cmp * n_costs
-        dequant = self._a_dq * s1
-        approx = 0.0
+        # s1[i-1] = Σ_j Σ_{t<i} (ctx0_j + t), exact int64 partial sums.
+        total0 = int(ctx0.sum())
+        s1 = np.arange(total0, total0 + batch * k, batch,
+                       dtype=np.int64).cumsum()
+        # ``span``'s additions in its order, in place; a term with a zero
+        # coefficient is skipped (adding +0.0 to a positive sum is exact).
+        lat = i * self.shared_s
+        lat += self._a_kv * s1
+        compute = self._a_cmp * s1
+        if self._b_cmp:
+            compute += self._b_cmp * n_costs
+        lat += compute
+        if self._requant_s:
+            lat += self._requant_s * n_costs
+        if self._a_dq:
+            lat += self._a_dq * s1
         if self.method.approx_per_iter:
-            stair = (self._stair_cumsum(ctx0[None, :] + (i[:, None] - 1))
-                     - self._stair_cumsum(ctx0 - 1)[None, :]).sum(axis=1)
-            approx = self._a_ap * s1 + self._b_ap * n_costs \
-                + self._c_ap * stair
-        requant = self._requant_s * n_costs
-        decode_total = i * self.shared_s + kv_read + compute + requant
-        return decode_total + dequant + approx
+            approx = self._a_ap * s1
+            approx += self._b_ap * n_costs
+            approx += self._c_ap * self._stair_prefix(ctx0, k)
+            lat += approx
+        return lat
 
     def find_boundary(self, ctx0, k: int, elapsed_s: float) -> int:
         """Smallest ``j`` in ``[1, k]`` whose span latency reaches
@@ -330,15 +354,12 @@ class BatchCostModel:
         batch mid-span: the join takes effect at the end of the
         iteration in progress, i.e. at boundary ``j``.  Clamps to ``k``
         when ``elapsed_s`` lands at (or FP-rounds past) the span's end.
+        A ``searchsorted`` over :meth:`span_cumlat`, whose elements are
+        the span latencies bitwise; the engine runs the same search on
+        the vector it cached when it scheduled the span.
         """
-        lo, hi = 1, k
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.span(ctx0, mid).latency_s >= elapsed_s:
-                hi = mid
-            else:
-                lo = mid + 1
-        return lo
+        cum = self.span_cumlat(ctx0, k)
+        return min(int(np.searchsorted(cum, elapsed_s, side="left")) + 1, k)
 
 
 def request_decode_costs(

@@ -363,6 +363,11 @@ class _DecodeReplica:
     span_k: int = 0
     span_snapshot: list = field(default_factory=list)
     span_ctx0: np.ndarray | None = None
+    #: ``span_cumlat(span_ctx0, span_k)``, computed once when the span
+    #: is scheduled: the single source of its token times, its join
+    #: boundary and its crash cut-off.  Never mutated (settles slice it
+    #: into fresh arrays).
+    span_cum: np.ndarray | None = None
     #: A truncated span settled early; its boundary event will take a
     #: fresh batch snapshot, so later joins need no further interrupt.
     boundary_pending: bool = False
@@ -1290,14 +1295,16 @@ class Simulator:
         ctx0 = np.array([e[0].trace.input_len + e[0].tokens_generated + 1
                          for e in snapshot], dtype=np.int64)
         k = min(e[1] for e in snapshot)
-        totals = self.cost_model.span(ctx0, k)
         decode.span_start = now
         decode.span_k = k
         decode.span_snapshot = snapshot
         decode.span_ctx0 = ctx0
+        decode.span_cum = self.cost_model.span_cumlat(ctx0, k)
         decode.iteration_scheduled = True
-        self._push(now + totals.latency_s, "decode_span",
-                   (idx, decode.span_id, totals))
+        # The last element is span(ctx0, k).latency_s bitwise; the
+        # bucket totals wait until the span ends untruncated.
+        self._push(now + float(decode.span_cum[-1]), "decode_span",
+                   (idx, decode.span_id))
 
     def _settle_span(self, decode: _DecodeReplica, totals) -> None:
         """Credit ``totals.k`` iterations to every span participant.
@@ -1305,13 +1312,12 @@ class Simulator:
         Each request accrues the *batch-wide* bucket sums (it waits
         through the whole batch's iteration), exactly as the token path
         accrues them one iteration at a time.  Token completion times
-        come from the closed-form cumulative latencies — one shared
-        vector per span whose last element is bitwise identical to the
-        span event's timestamp.
+        come from the span's cached cumulative latencies — one fresh
+        vector per settle, shared by the batch, whose last element is
+        bitwise identical to the settled boundary's timestamp.
         """
         k = totals.k
-        token_times = decode.span_start + self.cost_model.span_cumlat(
-            decode.span_ctx0, k)
+        token_times = decode.span_start + decode.span_cum[:k]
         for entry in decode.span_snapshot:
             entry[0].accrue_decode(totals.decode_s, totals.dequant_s,
                                    totals.approx_s, totals.kv_read_s,
@@ -1320,11 +1326,12 @@ class Simulator:
             entry[1] -= k
 
     def _on_decode_span(self, now: float, payload) -> None:
-        idx, span_id, totals = payload
+        idx, span_id = payload
         decode = self._decode[idx]
         if span_id != decode.span_id:
             return                        # span was truncated by a join
-        self._settle_span(decode, totals)
+        self._settle_span(decode, self.cost_model.span(decode.span_ctx0,
+                                                       decode.span_k))
         finished_entries = [e for e in decode.span_snapshot if e[1] <= 0]
         if finished_entries:
             decode.active = [e for e in decode.active if e[1] > 0]
@@ -1344,8 +1351,8 @@ class Simulator:
         """
         decode = self._decode[idx]
         elapsed = now - decode.span_start
-        j = self.cost_model.find_boundary(decode.span_ctx0, decode.span_k,
-                                          elapsed)
+        # BatchCostModel.find_boundary's search, on the cached vector.
+        j = int(np.searchsorted(decode.span_cum, elapsed, side="left")) + 1
         if j >= decode.span_k:
             # Joined during the span's last iteration: the natural span
             # end is the join boundary; nothing to truncate.
@@ -1515,9 +1522,8 @@ class Simulator:
                 # token path would have fired (a tie goes to the crash,
                 # which was pushed first).
                 elapsed = now - decode.span_start
-                cum = self.cost_model.span_cumlat(decode.span_ctx0,
-                                                  decode.span_k)
-                done = int(np.searchsorted(cum, elapsed, side="left"))
+                done = int(np.searchsorted(decode.span_cum, elapsed,
+                                           side="left"))
                 if done > 0:
                     self._settle_span(
                         decode, self.cost_model.span(decode.span_ctx0,
@@ -1529,6 +1535,7 @@ class Simulator:
         decode.active = []
         decode.span_snapshot = []
         decode.span_ctx0 = None
+        decode.span_cum = None
         decode.used_bytes = 0.0
         decode.queued_tokens = 0
         transfer_victims = [

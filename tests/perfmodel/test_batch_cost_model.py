@@ -5,10 +5,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import replica_resources
 from repro.methods import get_method
 from repro.methods.registry import METHODS
+from repro.methods.spec import resolve_method
 from repro.model import get_model
 from repro.perfmodel import (
     BatchCostModel,
@@ -151,3 +154,76 @@ class TestStaircaseCumsum:
             [sum(math.ceil(c / pi) for c in range(1, int(m) + 1))
              for m in n], dtype=np.int64)
         np.testing.assert_array_equal(model._stair_cumsum(n), expected)
+
+
+#: The paper comparison plus HACK with SE off and with RQE off.
+CUMLAT_METHODS = ("baseline", "cachegen", "kvquant", "hack", "hack_nose",
+                  "hack_norqe")
+
+
+def _contexts(seed: int, batch: int, pi: int) -> np.ndarray:
+    """``batch`` context lengths, most within two tokens of a multiple
+    of ``pi`` (so spans start on, just before and just after partition
+    boundaries), the rest uniform up to 16k."""
+    rng = np.random.default_rng(seed)
+    near = rng.integers(1, 256, batch) * pi + rng.integers(-2, 3, batch)
+    uniform = rng.integers(1, 16_001, batch)
+    return np.where(rng.random(batch) < 0.7, near, uniform).astype(np.int64)
+
+
+SPAN_DRAWS = dict(seed=st.integers(0, 2**32 - 1),
+                  batch=st.integers(1, 256),
+                  k=st.integers(1, 2000),
+                  frac=st.floats(0.0, 1.0))
+
+
+class TestSpanCumlat:
+    """``span_cumlat(ctx0, k)[i-1]`` is ``span(ctx0, i).latency_s``
+    bitwise: the engine's token times, join boundaries and crash
+    cut-offs all read this vector."""
+
+    @pytest.mark.parametrize("method", CUMLAT_METHODS)
+    @settings(max_examples=100, deadline=None)
+    @given(**SPAN_DRAWS)
+    def test_elements_are_span_latencies(self, method, seed, batch, k,
+                                         frac):
+        model = _model(method)
+        ctx0 = _contexts(seed, batch, model.method.partition_size)
+        cum = model.span_cumlat(ctx0, k)
+        assert cum.shape == (k,)
+        for i in {1, 1 + int(frac * (k - 1)), k}:
+            assert cum[i - 1] == model.span(ctx0, i).latency_s, i
+
+    @pytest.mark.parametrize("method", CUMLAT_METHODS)
+    @settings(max_examples=100, deadline=None)
+    @given(**SPAN_DRAWS)
+    def test_find_boundary_matches_linear_scan(self, method, seed, batch,
+                                               k, frac):
+        model = _model(method)
+        ctx0 = _contexts(seed, batch, model.method.partition_size)
+        lat = model.span_cumlat(ctx0, k).tolist()
+        hit = lat[int(frac * (k - 1))]
+        for elapsed in (0.0, hit, math.nextafter(hit, 0.0),
+                        math.nextafter(hit, math.inf), frac * lat[-1],
+                        lat[-1], lat[-1] * 1.01):
+            expected = next((j for j in range(1, k + 1)
+                             if lat[j - 1] >= elapsed), k)
+            j = model.find_boundary(ctx0, k, elapsed)
+            assert j == expected, elapsed
+            # The definition, on span itself.
+            assert j == k or model.span(ctx0, j).latency_s >= elapsed
+            assert j == 1 or model.span(ctx0, j - 1).latency_s < elapsed
+
+    @pytest.mark.parametrize("method", ("hack", "hack?pi=48"))
+    @settings(max_examples=40, deadline=None)
+    @given(ctx0=st.lists(st.integers(1, 4 * 64 + 3), min_size=1,
+                         max_size=8),
+           k=st.integers(1, 3 * 64 + 5))
+    def test_residue_staircase_matches_bruteforce(self, method, ctx0, k):
+        model = BatchCostModel(L, A100, resolve_method(method))
+        pi = model.method.partition_size
+        per_iteration = [sum(math.ceil((c + t) / pi) for c in ctx0)
+                         for t in range(k)]
+        np.testing.assert_array_equal(
+            model._stair_prefix(np.array(ctx0, dtype=np.int64), k),
+            np.cumsum(per_iteration))

@@ -14,12 +14,15 @@ Three layers of guarantees:
 """
 
 import math
+from collections import Counter
 
+import numpy as np
 import pytest
 
 from repro.methods import get_method
 from repro.model import get_model
 from repro.sim import capacity_rps, default_cluster, simulate
+from repro.sim.engine import Simulator
 from repro.workload import generate_trace, get_dataset
 
 L = get_model("L")
@@ -306,6 +309,108 @@ class TestGracefulDegradation:
         # (capacity signal 1/4..3/4 > hi=0.4), so selection escalates
         # to the strong method far more often than the healthy run.
         assert flips.get("hack_int4", 0) > base.get("hack_int4", 0)
+
+
+class TestCachedSpanVectorReaders:
+    """span == token through every reader of a span's cached
+    cumulative-latency vector, on fixed-time decode crashes.
+
+    A random crash plan reaches these paths only by chance.  Here the
+    crash instants are chosen from probe runs of the same scenario:
+    one lands between a mid-span join and its boundary (the boundary
+    iteration must be un-credited), one lands inside the second
+    iteration of a span that ends untruncated (a partial settle cut by
+    ``searchsorted``).  Every run before a crash instant replays its
+    probe exactly, so each crash hits the state it was aimed at.
+    """
+
+    REPAIR_S = 5.0
+
+    def _sim(self, mode, timeline):
+        config = _config(mode=mode, faults="replica_crash?mttf=1e9",
+                         recovery="retry?base_s=0.5,cap_s=4.0")
+        sim = Simulator(config, _trace(n=24, seed=3, config=config))
+        sim._fault_timeline = sorted(timeline, key=lambda ev: ev[0])
+        return sim
+
+    def _crash(self, t, idx):
+        return [(t, "replica_down", ("decode", idx)),
+                (t + self.REPAIR_S, "replica_up", ("decode", idx))]
+
+    def _spy(self, monkeypatch):
+        """Count the span paths taken, and record join windows and
+        untruncated spans as (crash instant, replica) candidates."""
+        calls, where = Counter(), []
+        joins, whole_spans = [], []
+
+        def wrap(name, before=None, after=None):
+            orig = getattr(Simulator, name)
+
+            def spied(sim, *args):
+                calls[name] += 1
+                if before:
+                    before(sim, *args)
+                where.append(name)
+                try:
+                    orig(sim, *args)
+                finally:
+                    where.pop()
+                if after:
+                    after(sim, *args)
+            monkeypatch.setattr(Simulator, name, spied)
+
+        def settle_site(sim, decode, totals):
+            if where:
+                calls["settle_in" + where[-1]] += 1
+
+        def boundary_set(sim, now, idx):
+            # Called only with no boundary pending: one now means the
+            # join truncated the span.
+            d = sim._decode[idx]
+            if d.boundary_pending:
+                end = float(d.span_start + d.span_cum[d.boundary_k - 1])
+                joins.append(((now + end) / 2, idx))
+
+        def natural_end(sim, now, payload):
+            idx, span_id = payload
+            d = sim._decode[idx]
+            if span_id == d.span_id and d.span_k >= 2:
+                whole_spans.append(
+                    (d.span_start + float(d.span_cum[0] + d.span_cum[1]) / 2,
+                     idx))
+
+        wrap("_settle_span", before=settle_site)
+        wrap("_interrupt_span", after=boundary_set)
+        wrap("_on_decode_span", before=natural_end)
+        wrap("_decode_down")
+        wrap("_unsettle_boundary_iteration")
+        return calls, joins, whole_spans
+
+    def test_join_crash_and_pending_boundary(self, monkeypatch):
+        calls, joins, whole_spans = self._spy(monkeypatch)
+        self._sim("span", []).run()
+        assert joins, "probe run had no mid-span join"
+        t_join, idx_join = joins[0]
+        timeline = self._crash(t_join, idx_join)
+
+        whole_spans.clear()
+        self._sim("span", timeline).run()
+        t_mid, idx_mid = next(
+            (t, i) for t, i in whole_spans
+            if t > t_join + self.REPAIR_S)
+        timeline += self._crash(t_mid, idx_mid)
+
+        token = self._sim("token", timeline).run()
+        calls.clear()
+        span = self._sim("span", timeline).run()
+        assert calls["settle_in_interrupt_span"] >= 1     # mid-span join
+        assert calls["settle_in_decode_down"] >= 1        # crash mid-span
+        assert calls["_unsettle_boundary_iteration"] >= 1
+        _assert_equivalent(token, span)
+        for rt, rs in zip(token.requests, span.requests):
+            tt, ts = rt.token_times(), rs.token_times()
+            assert tt.size == ts.size
+            np.testing.assert_allclose(ts, tt, rtol=RTOL)
 
 
 def _selection_counts(res):
