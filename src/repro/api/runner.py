@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import multiprocessing
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from ..methods import resolve_method
 from ..model.config import ModelSpec, get_model
@@ -63,6 +63,16 @@ class ResolvedScenario:
     n_output_clipped: int = 0
 
 
+#: The fields :class:`Scenario` shares with :class:`ClusterConfig`, all
+#: handed to :func:`default_cluster` by name (``None`` keeps the
+#: cluster default).
+_CLUSTER_FIELDS = ("prefill_gpu", "decode_gpu", "pipelining",
+                   "n_prefill_replicas", "n_decode_replicas",
+                   "activation_overhead", "step_mode", "scheduler",
+                   "kvstore", "selection", "faults", "recovery",
+                   "autoscaler", "admission")
+
+
 def _resolve_calibration(scenario: Scenario) -> Calibration:
     overrides = scenario.calibration_overrides()
     return calibrated(**overrides) if overrides else DEFAULT_CALIBRATION
@@ -91,30 +101,10 @@ def resolve(scenario: Scenario) -> ResolvedScenario:
     trace = generate_trace(dataset_name, rps, n, seed=seed,
                            max_context=max_context,
                            arrival=scenario.arrival or "poisson")
-    configs = {}
-    for name in scenario.methods:
-        config = default_cluster(
-            spec, resolve_method(name), scenario.prefill_gpu, calib=calib,
-            pipelining=scenario.pipelining, decode_gpu=scenario.decode_gpu,
-            activation_overhead=scenario.activation_overhead,
-            scheduler=scenario.scheduler,
-            kvstore=scenario.kvstore,
-            selection=scenario.selection,
-            faults=scenario.faults,
-            recovery=scenario.recovery,
-            autoscaler=scenario.autoscaler,
-            admission=scenario.admission,
-        )
-        overrides = {}
-        if scenario.n_prefill_replicas is not None:
-            overrides["n_prefill_replicas"] = scenario.n_prefill_replicas
-        if scenario.n_decode_replicas is not None:
-            overrides["n_decode_replicas"] = scenario.n_decode_replicas
-        if scenario.step_mode is not None:
-            overrides["step_mode"] = scenario.step_mode
-        if overrides:
-            config = replace(config, **overrides)
-        configs[name] = config
+    shared = {f: getattr(scenario, f) for f in _CLUSTER_FIELDS}
+    configs = {name: default_cluster(spec, resolve_method(name),
+                                     calib=calib, **shared)
+               for name in scenario.methods}
     return ResolvedScenario(scenario=scenario, spec=spec,
                             dataset=dataset_name, max_context=max_context,
                             calib=calib, rps=rps, n_requests=n,

@@ -200,6 +200,10 @@ class Scenario:
     def _check_cluster(self) -> None:
         """Reject combinations the engine would only refuse mid-run
         (after a sweep has spawned its workers)."""
+        for fname in ("n_prefill_replicas", "n_decode_replicas"):
+            value = getattr(self, fname)
+            if value is not None and value < 1:
+                raise ValueError(f"{fname} must be >= 1, got {value}")
         if self.n_prefill_replicas is not None \
                 and len(parse_fleet_spec(self.prefill_gpu)) > 1:
             raise ValueError(

@@ -29,9 +29,10 @@ established ``family?k=v`` grammar (mirroring
 
 Both registries are open: subclass :class:`AutoscalerPolicy` /
 :class:`AdmissionPolicy` and decorate with :func:`register_autoscaler`
-/ :func:`register_admission`.  The ``static`` autoscaler plus
-``accept_all`` admission is byte-identical to an unarmed engine — the
-elastic path adds zero events and changes no hot-path decision.
+/ :func:`register_admission`.  The engine always runs an autoscaler
+and an admission policy: unconfigured, it runs ``static`` plus
+``accept_all``, which add zero events and change no request — so a
+run that names them explicitly produces the same records.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from __future__ import annotations
 from ..spec import Family, FamilySpec, Param, Registry, split_spec_list
 
 __all__ = [
+    "DEFAULT_ADMISSION",
     "DEFAULT_AUTOSCALER",
     "ElasticParam",
     "AutoscalerPolicy",
@@ -57,8 +59,10 @@ __all__ = [
     "split_autoscaler_list",
 ]
 
-#: The do-nothing autoscaler an armed engine falls back to.
+#: The do-nothing autoscaler and admission policy the engine runs when
+#: none is configured.
 DEFAULT_AUTOSCALER = "static"
+DEFAULT_ADMISSION = "accept_all"
 
 ElasticParam = Param
 
@@ -81,8 +85,9 @@ class AutoscalerPolicy(Family):
       sliding-window TTFT SLO attainment over recent finishes.
     """
 
-    #: ``False`` opts out of evaluation events entirely (``static``):
-    #: an armed-but-idle engine stays byte-identical to an unarmed one.
+    #: ``False`` opts out of evaluation events entirely (``static``,
+    #: the policy every unconfigured run uses), so the event heap holds
+    #: only serving events.
     evaluates: bool = True
 
     def bind(self, sim) -> None:

@@ -42,12 +42,21 @@ Decode stepping runs in one of two modes (``ClusterConfig.step_mode``):
   admitted it — so the two modes agree to floating-point rounding.
 * ``"token"`` — the legacy one-heap-event-per-token path, kept for
   differential testing.
+
+Faults, recovery, elastic scaling and admission run inside that one
+serving loop, configured or not.  Left unconfigured, their state is
+inert: no fault timeline, a NIC factor of 1.0, a transfer-flap
+probability of 0.0, a ``retry`` recovery policy nothing ever calls, the
+``static`` autoscaler (which never evaluates) and ``accept_all``
+admission.  An unconfigured run and an armed-but-idle one therefore
+execute the same handlers and produce byte-identical results.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -67,7 +76,8 @@ from ..perfmodel.transfer import DEFAULT_PIPELINE_STAGES, kv_wire_bytes, \
     make_network_model
 from ..spec import field_roles
 from ..workload.traces import TraceRequest
-from .elastic import AdmissionSpec, AutoscalerSpec, DEFAULT_AUTOSCALER
+from .elastic import AdmissionSpec, AutoscalerSpec, DEFAULT_ADMISSION, \
+    DEFAULT_AUTOSCALER
 from .faults import FaultPlan, check_kvstore_outages
 from .recovery import DEFAULT_RECOVERY, RecoverySpec
 from .request import BUCKETS, SimRequest, nearest_rank
@@ -130,38 +140,39 @@ class ClusterConfig:
     #: §7.1 pair (``splitwise`` + ``shortest_queue``).
     scheduler: SchedulerSpec | None = None
     #: Tiered KV store for prefix caching (``None`` — the default — is
-    #: no store at all: the engine takes the historical code path and
-    #: produces byte-identical results).  Accepts a
-    #: :class:`~repro.kvstore.KVStoreSpec` or grammar string
+    #: no store at all: nothing is looked up or written back).  Accepts
+    #: a :class:`~repro.kvstore.KVStoreSpec` or grammar string
     #: (``"tiered?dram_gb=8.0+lfu"``).
     kvstore: KVStoreSpec | None = None
     #: Per-request compression-selection policy; ``None`` keeps the
     #: scenario's single method for every request.  Accepts a
     #: :class:`~repro.kvstore.SelectionSpec` or grammar string
     #: (``"slo_tier?tier2=hack_int4"``).  Configuring either ``kvstore``
-    #: or ``selection`` switches the engine to the KV-store-aware
-    #: prefill path (per-request methods stamped on records).
+    #: or ``selection`` gives every request its own method (stamped on
+    #: its record) and a prefix-cache probe at prefill.
     selection: SelectionSpec | None = None
     #: Fault-injection plan (``None`` — the default — injects nothing:
-    #: every hot path takes its historical branch and results are
-    #: byte-identical).  Accepts a :class:`~repro.sim.faults.FaultPlan`,
-    #: a :class:`~repro.sim.faults.FaultSpec` or a grammar string
+    #: the fault state stays inert, with no timeline, no transfer flaps
+    #: and healthy NICs).  Accepts a
+    #: :class:`~repro.sim.faults.FaultPlan`, a
+    #: :class:`~repro.sim.faults.FaultSpec` or a grammar string
     #: (``"replica_crash?mttf=600+transfer_flap?p_fail=0.05"``).
     faults: FaultPlan | None = None
-    #: Recovery policy for fault-interrupted requests; only meaningful
-    #: when ``faults`` is set (``None`` then means the default
-    #: ``retry`` policy).  Accepts a
-    #: :class:`~repro.sim.recovery.RecoverySpec` or grammar string.
+    #: Recovery policy for fault-interrupted requests (``None`` means
+    #: the default ``retry`` policy; without faults nothing ever calls
+    #: it).  Accepts a :class:`~repro.sim.recovery.RecoverySpec` or
+    #: grammar string.
     recovery: RecoverySpec | None = None
     #: Autoscaler powering provisioned replicas up and down (``None``
-    #: — the default — keeps the historical fixed fleet and
-    #: byte-identical results; so does the explicit ``static``
-    #: policy).  Accepts an :class:`~repro.sim.elastic.AutoscalerSpec`
-    #: or grammar string (``"reactive?queue_hi=6.0"``).
+    #: — the default — means ``static``, which never evaluates, so the
+    #: fleet stays fixed).  Accepts an
+    #: :class:`~repro.sim.elastic.AutoscalerSpec` or grammar string
+    #: (``"reactive?queue_hi=6.0"``).  Setting it or ``admission``
+    #: adds the ``elastic`` summary block.
     autoscaler: AutoscalerSpec | None = None
     #: Admission policy judging every fresh arrival (``None`` — the
-    #: default — accepts everything, as does the explicit
-    #: ``accept_all``).  Accepts an
+    #: default — means ``accept_all``, which admits everything
+    #: unchanged).  Accepts an
     #: :class:`~repro.sim.elastic.AdmissionSpec` or grammar string
     #: (``"shed?queue_max=48.0"``).
     admission: AdmissionSpec | None = None
@@ -172,6 +183,10 @@ class ClusterConfig:
                 f"step_mode must be 'span' or 'token', got "
                 f"{self.step_mode!r}"
             )
+        for name in ("n_prefill_replicas", "n_decode_replicas"):
+            if getattr(self, name) < 1:
+                raise ValueError(
+                    f"{name} must be >= 1, got {getattr(self, name)}")
         # Accept the grammar string every adjacent API takes for each
         # spec field (fails fast on bad policies instead of at Simulator
         # construction).
@@ -237,35 +252,26 @@ def default_cluster(model: ModelSpec, method: Method, prefill_gpu: str,
                     n_prefill_instances: int | None = None,
                     n_decode_instances: int = DEFAULT_DECODE_COUNT,
                     decode_gpu: str = "A100",
-                    activation_overhead: float | None = None,
-                    step_mode: str | None = None,
-                    scheduler=None,
-                    kvstore=None,
-                    selection=None,
-                    faults=None,
-                    recovery=None,
-                    autoscaler=None,
-                    admission=None,
-                    ) -> ClusterConfig:
+                    **fields) -> ClusterConfig:
     """The paper's §7.1 deployment for ``model`` on ``prefill_gpu``.
 
     Replica counts derive from the instance fleets (e.g. ten
     g5.12xlarge = 40 A10G = 5 Llama-70B replicas at TP4·PP2) and two
     p4de.24xlarge for decode.  ``decode_gpu`` swaps the decode fleet's
-    GPU (default A100, the paper's setup); ``activation_overhead=None``
-    keeps the :class:`ClusterConfig` default.
+    GPU (default A100, the paper's setup).
 
     ``prefill_gpu`` accepts the heterogeneous-fleet grammar of
     :func:`repro.cluster.parse_fleet_spec` — ``"A10G+T4"`` (each fleet
     at its §7.1 default replica count) or ``"A10G:2+T4:4"`` (explicit
     per-fleet replica counts).  ``n_prefill_instances`` only applies to
-    a single plain-GPU fleet.  ``scheduler`` is a
-    :class:`~repro.sim.scheduling.SchedulerSpec` or grammar string
-    (``"round_robin+best_fit"``); ``None`` keeps the paper's pair.
-    ``kvstore``/``selection`` plumb straight through to the matching
-    :class:`ClusterConfig` fields (spec objects or grammar strings;
-    ``None`` keeps the historical no-KV-store path), as do
-    ``faults``/``recovery`` (``None`` injects nothing).
+    a single plain-GPU fleet.
+
+    ``fields`` are :class:`ClusterConfig` overrides applied over the
+    derived deployment — ``activation_overhead``, ``step_mode``, the
+    spec fields (``scheduler``, ``kvstore``, ``selection``, ``faults``,
+    ``recovery``, ``autoscaler``, ``admission``; spec objects or
+    grammar strings) or the replica counts.  A ``None`` value keeps
+    the default.
     """
     fleets = parse_fleet_spec(prefill_gpu)
     dec_gpu = decode_gpu.upper()
@@ -292,52 +298,32 @@ def default_cluster(model: ModelSpec, method: Method, prefill_gpu: str,
     dec_inst = instance_for_gpu(dec_gpu)
     n_decode = max(1, n_decode_instances * dec_inst.n_gpus
                    // dec.parallelism.n_gpus)
-    extra = {} if activation_overhead is None else {
-        "activation_overhead": activation_overhead
-    }
-    if step_mode is not None:
-        extra["step_mode"] = step_mode
-    # ClusterConfig parses spec strings itself.
-    specs = {"scheduler": scheduler, "kvstore": kvstore,
-             "selection": selection, "faults": faults, "recovery": recovery,
-             "autoscaler": autoscaler, "admission": admission}
-    extra.update({k: v for k, v in specs.items() if v is not None})
+    kwargs = {"model": model, "method": method, "prefill_gpu": resolved[0][0],
+              "n_prefill_replicas": sum(count for _, count in resolved),
+              "n_decode_replicas": n_decode, "calib": calib,
+              "pipelining": pipelining, "decode_gpu": dec_gpu}
     if len(resolved) > 1:
-        extra["prefill_fleets"] = tuple(resolved)
-        gpu_label = canonical_fleet(tuple(resolved))
-    else:
-        gpu_label = resolved[0][0]
-    n_prefill = sum(count for _, count in resolved)
-    return ClusterConfig(model=model, method=method, prefill_gpu=gpu_label,
-                         n_prefill_replicas=n_prefill,
-                         n_decode_replicas=n_decode, calib=calib,
-                         pipelining=pipelining, decode_gpu=dec_gpu,
-                         **extra)
+        kwargs["prefill_fleets"] = tuple(resolved)
+        kwargs["prefill_gpu"] = canonical_fleet(tuple(resolved))
+    # ClusterConfig parses spec strings itself.
+    kwargs.update((k, v) for k, v in fields.items() if v is not None)
+    return ClusterConfig(**kwargs)
 
 
-@dataclass
-class _PrefillReplica:
-    #: GPU type and per-replica resources — these differ across fleets
-    #: under heterogeneous prefill (``ClusterConfig.prefill_fleets``)
-    #: and are what dispatch policies exploit.
-    gpu: str = ""
-    res: ReplicaResources | None = None
-    queue: deque = field(default_factory=deque)
-    queued_tokens: int = 0
-    current: SimRequest | None = None
-    nic_free_at: float = 0.0
-    assigned: int = 0
-    # Fault-injection state (inert without a fault plan).
+@dataclass(kw_only=True)
+class _Replica:
+    """Fault and elastic-lifecycle state both roles share (inert
+    without a fault plan or an acting autoscaler)."""
+
     up: bool = True
     #: Overlapping crash specs stack; the replica is up when this is 0.
     down_count: int = 0
     #: Stale-event guard: bumped on every crash, stamped into this
     #: replica's in-flight event payloads.
     epoch: int = 0
-    # Elastic-lifecycle state (inert without an autoscaler): a replica
-    # serves only while "on"; "starting" is a boot with cold-start
-    # latency pending, "draining" takes no new work and retires to
-    # "off" once idle.
+    #: A replica serves only while "on"; "starting" is a boot with
+    #: cold-start latency pending, "draining" takes no new work and
+    #: retires to "off" once idle.
     state: str = "on"
     #: Stale-boot guard: bumped when a boot starts or is canceled.
     lifecycle: int = 0
@@ -348,7 +334,21 @@ class _PrefillReplica:
 
 
 @dataclass
-class _DecodeReplica:
+class _PrefillReplica(_Replica):
+    #: GPU type and per-replica resources — these differ across fleets
+    #: under heterogeneous prefill (``ClusterConfig.prefill_fleets``)
+    #: and are what dispatch policies exploit.
+    gpu: str = ""
+    res: ReplicaResources | None = None
+    queue: deque = field(default_factory=deque)
+    queued_tokens: int = 0
+    current: SimRequest | None = None
+    nic_free_at: float = 0.0
+    assigned: int = 0
+
+
+@dataclass
+class _DecodeReplica(_Replica):
     capacity_bytes: float
     base_bytes: float              # params + activations
     used_bytes: float = 0.0
@@ -374,15 +374,6 @@ class _DecodeReplica:
     #: The boundary iteration :meth:`Simulator._interrupt_span` settled
     #: through (a crash before the boundary event must un-credit it).
     boundary_k: int = 0
-    # Fault-injection state (inert without a fault plan).
-    up: bool = True
-    down_count: int = 0
-    epoch: int = 0
-    # Elastic-lifecycle state (inert without an autoscaler).
-    state: str = "on"
-    lifecycle: int = 0
-    on_since: float = 0.0
-    gpu_s: float = 0.0
 
     def free_bytes(self) -> float:
         # A crashed (or draining / powered-off) replica reports
@@ -755,6 +746,7 @@ class Simulator:
             _DecodeReplica(capacity_bytes=capacity, base_bytes=base)
             for _ in range(config.n_decode_replicas)
         ]
+        self._fleets = {"prefill": self._prefill, "decode": self._decode}
         self._pending_swap: deque = deque()
         self._finished: list[SimRequest] = []
         self._rejected: list[SimRequest] = []
@@ -766,25 +758,23 @@ class Simulator:
         self.dispatch.bind(self)
         self.placement.bind(self)
 
-        # KV-store / compression-selection layer.  When neither is
-        # configured, ``_kv_enabled`` is False and every hot-path method
-        # below takes its historical branch — byte-identical results.
+        # KV-store / compression-selection layer.
         self.kvstore = config.kvstore.build() \
             if config.kvstore is not None else None
         self.selection = config.selection.build() \
             if config.selection is not None else None
-        self._kv_enabled = (self.kvstore is not None
-                            or self.selection is not None)
         self._selection_mix: dict[str, dict[str, int]] = {}
         if self.selection is not None:
             self.selection.bind(self)
 
-        # Fault injection / recovery.  Without a fault plan
-        # ``_faults_enabled`` is False and every hot-path method below
-        # takes its historical branch — byte-identical results.
+        # Fault injection / recovery.  Without a fault plan the state
+        # stays inert: an empty timeline, no flap draws, no NIC factors,
+        # and a recovery policy nothing calls.
         self.faults = config.faults
-        self._faults_enabled = config.faults is not None
-        self.recovery = None
+        rspec = config.recovery if config.recovery is not None \
+            else RecoverySpec(DEFAULT_RECOVERY)
+        self.recovery = rspec.build()
+        self.recovery.bind(self)
         self._fault_rng: np.random.Generator | None = None
         self._fault_timeline: list = []
         self._transfer_fail_p = 0.0
@@ -797,12 +787,8 @@ class Simulator:
         #: start) for every in-flight KV transfer; lets a crash or flap
         #: un-credit the wire time it threw away.
         self._inflight: dict[int, tuple[SimRequest, float]] = {}
-        if self._faults_enabled:
+        if self.faults is not None:
             check_kvstore_outages(self.faults, self.kvstore)
-            rspec = config.recovery if config.recovery is not None \
-                else RecoverySpec(DEFAULT_RECOVERY)
-            self.recovery = rspec.build()
-            self.recovery.bind(self)
             # The plan-derived seed (not the trace seed) makes the
             # stream re-derivable inside parallel sweep workers: the
             # timeline draws first, then runtime draws (transfer flaps,
@@ -814,16 +800,19 @@ class Simulator:
                 self._fault_rng, horizon, len(self._prefill),
                 len(self._decode))
 
-        # Elastic cluster: autoscaling + admission.  Without either,
-        # ``_elastic_enabled`` is False and every hot-path method below
-        # takes its historical branch — byte-identical results.  The
-        # provisioned fleet is the *maximum*: the autoscaler powers
-        # replicas on and off within it, so a ``static`` run is exactly
-        # the peak-sized fleet.
-        self._elastic_enabled = (config.autoscaler is not None
-                                 or config.admission is not None)
-        self.autoscaler = None
-        self.admission = None
+        # Elastic cluster: autoscaling + admission, by default the
+        # ``static`` autoscaler (never evaluates) and ``accept_all``
+        # admission.  The provisioned fleet is the *maximum*: the
+        # autoscaler powers replicas on and off within it, so a
+        # ``static`` run is exactly the peak-sized fleet.
+        aspec = config.autoscaler if config.autoscaler is not None \
+            else AutoscalerSpec(DEFAULT_AUTOSCALER)
+        self.autoscaler = aspec.build()
+        self.autoscaler.bind(self)
+        admspec = config.admission if config.admission is not None \
+            else AdmissionSpec(DEFAULT_ADMISSION)
+        self.admission = admspec.build()
+        self.admission.bind(self)
         self._n_shed = 0
         self._n_degraded = 0
         #: ``(time, role, action, index)`` scaling events.
@@ -831,28 +820,23 @@ class Simulator:
         #: ``(time, powered_prefill, powered_decode)`` step timeseries.
         self._replica_timeseries: list = []
         self._last_terminal_t = 0.0
-        if self._elastic_enabled:
-            aspec = config.autoscaler if config.autoscaler is not None \
-                else AutoscalerSpec(DEFAULT_AUTOSCALER)
-            self.autoscaler = aspec.build()
-            self.autoscaler.bind(self)
-            if config.admission is not None:
-                self.admission = config.admission.build()
-                self.admission.bind(self)
-                if self.admission.may_degrade:
-                    # Degraded requests carry their own method, so
-                    # prefill must run the per-request-method path.
-                    self._kv_enabled = True
-            n_p, n_d = len(self._prefill), len(self._decode)
-            init_p, init_d = self.autoscaler.initial(n_p, n_d)
-            self._target_p = min(max(1, int(init_p)), n_p)
-            self._target_d = min(max(1, int(init_d)), n_d)
-            # The un-powered tail starts off — initial state, no events.
-            for r in self._prefill[self._target_p:]:
-                r.state = "off"
-            for d in self._decode[self._target_d:]:
-                d.state = "off"
-            self._record_replicas(0.0)
+        n_p, n_d = len(self._prefill), len(self._decode)
+        init_p, init_d = self.autoscaler.initial(n_p, n_d)
+        self._target_p = min(max(1, int(init_p)), n_p)
+        self._target_d = min(max(1, int(init_d)), n_d)
+        # The un-powered tail starts off — initial state, no events.
+        for r in self._prefill[self._target_p:]:
+            r.state = "off"
+        for d in self._decode[self._target_d:]:
+            d.state = "off"
+        self._record_replicas(0.0)
+
+        # Per-request methods and prefix-cache probes at prefill (see
+        # :meth:`_start_prefill`); degraded admissions carry their own
+        # method too.
+        self._kv_enabled = (self.kvstore is not None
+                            or self.selection is not None
+                            or self.admission.may_degrade)
 
     # -- public API ----------------------------------------------------------
 
@@ -866,9 +850,8 @@ class Simulator:
             self._push(t, "fault", (kind, payload))
         # The autoscaler's evaluation loop starts one interval in and
         # re-arms itself while requests are outstanding; ``static``
-        # opts out entirely, so an armed-but-idle run replays the exact
-        # event sequence of an unarmed one.
-        if self._elastic_enabled and self.autoscaler.evaluates:
+        # opts out entirely and adds no events.
+        if self.autoscaler.evaluates:
             self._push(self.autoscaler.interval_s(), "elastic_eval", None)
         for tr in self.trace:
             self._push(tr.arrival_s, "arrival", SimRequest(trace=tr))
@@ -887,7 +870,10 @@ class Simulator:
         if self.selection is not None:
             mix = {tier: dict(sorted(counts.items()))
                    for tier, counts in sorted(self._selection_mix.items())}
-        elastic = self._elastic_stats() if self._elastic_enabled else None
+        elastic = None
+        if (self.config.autoscaler is not None
+                or self.config.admission is not None):
+            elastic = self._elastic_stats()
         return SimulationResult(requests=self._finished,
                                 elastic_stats=elastic,
                                 peak_memory_fraction=peak,
@@ -898,7 +884,7 @@ class Simulator:
                                 selection_mix=mix,
                                 rejected_requests=self._rejected,
                                 failed_requests=self._failed,
-                                faulted=self._faults_enabled)
+                                faulted=self.faults is not None)
 
     # -- event handlers --------------------------------------------------------
 
@@ -906,37 +892,33 @@ class Simulator:
         # Admission judges every fresh arrival exactly once; crash
         # re-dispatches and retries bypass it (the request was already
         # admitted).
-        if self.admission is not None:
-            verdict = self.admission.admit(now, req, self)
-            if verdict == "shed":
-                req.rejected = True
-                self._n_shed += 1
-                self._rejected.append(req)
-                self._last_terminal_t = max(self._last_terminal_t, now)
-                return
-            if verdict is not None:
-                if verdict.name != self.method.name:
-                    self._n_degraded += 1
-                req.admitted_method = verdict
+        verdict = self.admission.admit(now, req, self)
+        if verdict == "shed":
+            req.rejected = True
+            self._n_shed += 1
+            self._rejected.append(req)
+            self._last_terminal_t = max(self._last_terminal_t, now)
+            return
+        if verdict is not None:
+            if verdict.name != self.method.name:
+                self._n_degraded += 1
+            req.admitted_method = verdict
         self._dispatch_to_prefill(now, req)
 
     def _dispatch_to_prefill(self, now: float, req: SimRequest) -> None:
         replicas = self._prefill
         mapping = None
-        if self._faults_enabled or self._elastic_enabled:
-            up = [i for i, r in enumerate(self._prefill)
-                  if r.up and r.state == "on"]
-            if not up:
-                # Whole prefill fleet down (or booting): park the
-                # request until a repair or boot completes (never
-                # silently dropped).
-                self._pending_dispatch.append(req)
-                return
-            if len(up) < len(self._prefill):
-                # Dispatch sees only the live replicas; indices map
-                # back to fleet positions afterwards.
-                replicas = [self._prefill[i] for i in up]
-                mapping = up
+        up = [i for i, r in enumerate(replicas) if r.up and r.state == "on"]
+        if not up:
+            # Whole prefill fleet down (or booting): park the request
+            # until a repair or boot completes (never silently dropped).
+            self._pending_dispatch.append(req)
+            return
+        if len(up) < len(replicas):
+            # Dispatch sees only the live replicas; indices map back to
+            # fleet positions afterwards.
+            replicas = [replicas[i] for i in up]
+            mapping = up
         idx = self.dispatch.choose(now, req, replicas)
         if not 0 <= idx < len(replicas):
             raise ValueError(
@@ -961,6 +943,21 @@ class Simulator:
         costs the linear-layer time of the *summed* tokens plus each
         request's own quadratic attention term — the vLLM batched-
         prefill cost model.
+
+        With a KV store, selection policy or degrading admission
+        (``_kv_enabled``), each request first gets its own compression
+        method (degraded admission outranks selection, which outranks
+        the scenario method) and a prefix-cache probe for its shareable
+        prefix, clamped so at least one prompt token always prefills.
+        The matched tokens' compute is *skipped* — replaced by the
+        owning tier's read time — so the pass runs on *effective*
+        (uncached) tokens, quantization is each request's own, and the
+        tier reads add to the pass.  A request's own read accrues to
+        its ``comm`` bucket; everything else it waits through is
+        ``prefill``.  The decode-side batch cost model keeps the
+        scenario method (see :mod:`repro.kvstore.selection`).  Without
+        those layers every read is 0.0, which adds and subtracts
+        exactly.
         """
         replica = self._prefill[idx]
         batch = [replica.queue.popleft()]
@@ -975,93 +972,59 @@ class Simulator:
 
         replica.current = batch
         if self._kv_enabled:
-            batch_s = self._kv_prefill_batch(now, replica, batch)
-        else:
-            joint = prefill_time(self.spec, replica.res, total_tokens,
-                                 self.method, self.calib)
-            per_request = [
-                prefill_time(self.spec, replica.res, req.trace.input_len,
-                             self.method, self.calib)
-                for req in batch
-            ]
-            batch_s = (joint.linear_s + joint.quantize_s
-                       + sum(b.attention_s for b in per_request))
-            for req, own in zip(batch, per_request):
-                req.prefill_start = now
-                # Each request experiences the whole pass; the
-                # quantization share is its own (it is per-token work).
-                req.prefill_s = batch_s - own.quantize_s
-                req.quant_s = own.quantize_s
-        self._push(now + batch_s, "prefill_done",
-                   (idx, replica.epoch, batch))
-
-    def _kv_prefill_batch(self, now: float, replica: _PrefillReplica,
-                          batch: list) -> float:
-        """KV-store-aware prefill pass: select, look up, skip, charge.
-
-        Per request: the selection policy (or the scenario method)
-        fixes its compression method; the prefix cache is probed for
-        the request's shareable prefix (clamped so at least one prompt
-        token always prefills), and the matched fraction of prefill
-        compute is *skipped* — replaced by the owning tier's read time.
-        The pass then costs the joint linear time of the summed
-        *effective* (uncached) tokens, each request's own attention and
-        quantization on its effective tokens, plus the tier reads.  A
-        request's own read accrues to its ``comm`` bucket; everything
-        else it waits through is ``prefill`` (same convention as the
-        historical path).  Note the decode-side batch cost model keeps
-        the scenario method (see :mod:`repro.kvstore.selection`).
-        """
-        plan = []
-        total_eff = 0
-        for req in batch:
-            if req.admitted_method is not None:
-                # Elastic admission degraded this request at arrival;
-                # overload control outranks per-request selection.
-                method = req.admitted_method
-            elif self.selection is not None:
-                method = self.selection.choose(now, req, self)
-            else:
-                method = self.method
-            req.method = method
-            if self.selection is not None:
-                tier_key = str(req.trace.slo_tier)
-                counts = self._selection_mix.setdefault(tier_key, {})
-                counts[method.name] = counts.get(method.name, 0) + 1
-            if self.kvstore is not None:
-                limit = req.trace.input_len - 1
-                if req.kv_refetch:
-                    # Recovering a crash-lost KV: the previous
-                    # attempt's writeback (or the session entry) may
-                    # cover the whole prompt, not just the session
-                    # prefix — probe for all of it.
-                    prefix = limit
-                    req.kv_refetch = False
+            for req in batch:
+                if req.admitted_method is not None:
+                    method = req.admitted_method
+                elif self.selection is not None:
+                    method = self.selection.choose(now, req, self)
                 else:
-                    prefix = min(req.trace.prefix_len, limit)
-                hit = self.kvstore.lookup(self._cache_key(req), prefix, now)
-                req.prefix_hit_tokens = hit.tokens
-                req.cache_read_s = hit.read_s
-                req.cache_tier = hit.tier
-            eff = req.trace.input_len - req.prefix_hit_tokens
-            total_eff += eff
-            plan.append((req, method, eff))
-        joint = prefill_time(self.spec, replica.res, total_eff,
+                    method = self.method
+                req.method = method
+                if self.selection is not None:
+                    counts = self._selection_mix.setdefault(
+                        str(req.trace.slo_tier), {})
+                    counts[method.name] = counts.get(method.name, 0) + 1
+                if self.kvstore is not None:
+                    limit = req.trace.input_len - 1
+                    if req.kv_refetch:
+                        # Recovering a crash-lost KV: the previous
+                        # attempt's writeback (or the session entry)
+                        # may cover the whole prompt, not just the
+                        # session prefix — probe for all of it.
+                        prefix = limit
+                        req.kv_refetch = False
+                    else:
+                        prefix = min(req.trace.prefix_len, limit)
+                    hit = self.kvstore.lookup(self._cache_key(req), prefix,
+                                              now)
+                    req.prefix_hit_tokens = hit.tokens
+                    req.cache_read_s = hit.read_s
+                    req.cache_tier = hit.tier
+                    total_tokens -= hit.tokens
+        joint = prefill_time(self.spec, replica.res, total_tokens,
                              self.method, self.calib)
         per_request = [
-            prefill_time(self.spec, replica.res, eff, method, self.calib)
-            for _, method, eff in plan
+            prefill_time(self.spec, replica.res,
+                         req.trace.input_len - req.prefix_hit_tokens,
+                         req.method or self.method, self.calib)
+            for req in batch
         ]
-        batch_s = (joint.linear_s
-                   + sum(b.quantize_s for b in per_request)
+        # The joint pass's quantization is the scenario method's; with
+        # per-request methods each request quantizes its own tokens.
+        quantize_s = sum(b.quantize_s for b in per_request) \
+            if self._kv_enabled else joint.quantize_s
+        batch_s = (joint.linear_s + quantize_s
                    + sum(b.attention_s for b in per_request)
-                   + sum(req.cache_read_s for req, _, _ in plan))
-        for (req, _, _), own in zip(plan, per_request):
+                   + sum(req.cache_read_s for req in batch))
+        for req, own in zip(batch, per_request):
             req.prefill_start = now
+            # Each request experiences the whole pass; the quantization
+            # share is its own (it is per-token work).
             req.prefill_s = batch_s - own.quantize_s - req.cache_read_s
             req.quant_s = own.quantize_s
             req.comm_s += req.cache_read_s
-        return batch_s
+        self._push(now + batch_s, "prefill_done",
+                   (idx, replica.epoch, batch))
 
     def _cache_key(self, req: SimRequest):
         """Prefix-cache key: the session for multi-turn requests (turns
@@ -1092,7 +1055,7 @@ class Simulator:
                     req.method.name, now)
         if replica.queue:
             self._start_prefill(now, idx)
-        elif self._elastic_enabled:
+        else:
             self._maybe_retire(now, "prefill", idx)
         for req in batch:
             self._dispatch_to_decode(now, req)
@@ -1136,9 +1099,7 @@ class Simulator:
                 # dropped after prefill and never reaches decode.
                 req.rejected = True
                 self._rejected.append(req)
-                if self._elastic_enabled:
-                    self._last_terminal_t = max(self._last_terminal_t,
-                                                now)
+                self._last_terminal_t = max(self._last_terminal_t, now)
             return
         self._begin_transfer(now, req, target)
 
@@ -1162,16 +1123,12 @@ class Simulator:
         # delay: it accrues to the comm bucket (this is what makes the
         # comm ratio climb with RPS in Fig. 1(d)).
         nic_wait = start - now
-        src_gbps = nic.res.network_gbps
-        dst_gbps = self.dec_res.network_gbps
-        if self._faults_enabled:
-            # An active NIC brownout scales both endpoints' bandwidth
-            # for the whole transfer (the factor at transfer start
-            # applies end to end — a documented simplification).
-            factor = self._nic_factor()
-            if factor != 1.0:
-                src_gbps *= factor
-                dst_gbps *= factor
+        # Active NIC brownouts scale both endpoints' bandwidth for the
+        # whole transfer (the factors at transfer start apply end to
+        # end — a documented simplification); healthy NICs scale by 1.
+        factor = math.prod(self._nic_factors)
+        src_gbps = nic.res.network_gbps * factor
+        dst_gbps = self.dec_res.network_gbps * factor
         full = self.net.transfer_time(nbytes, src_gbps, dst_gbps,
                                       via_cpu=req.swapped).seconds
         nic.nic_free_at = start + full
@@ -1189,22 +1146,20 @@ class Simulator:
             done = start + full
             comm_added = nic_wait + full
         req.comm_s += comm_added
-        if self._faults_enabled:
-            self._inflight[req.request_id] = (req, comm_added)
-            if self._transfer_fail_p > 0.0 and float(
-                    self._fault_rng.random()) < self._transfer_fail_p:
-                # The flap surfaces when the transfer would have landed
-                # (the failed attempt held the NIC either way).
-                self._push(done, "transfer_fail", (req, req.attempt))
-                return
+        self._inflight[req.request_id] = (req, comm_added)
+        if self._transfer_fail_p > 0.0 and float(
+                self._fault_rng.random()) < self._transfer_fail_p:
+            # The flap surfaces when the transfer would have landed
+            # (the failed attempt held the NIC either way).
+            self._push(done, "transfer_fail", (req, req.attempt))
+            return
         self._push(done, "transfer_done", (req, req.attempt))
 
     def _on_transfer_done(self, now: float, payload) -> None:
         req, attempt = payload
         if req.attempt != attempt:
             return             # a crash already recovered this attempt
-        if self._faults_enabled:
-            self._inflight.pop(req.request_id, None)
+        del self._inflight[req.request_id]
         req.transfer_end = now
         req.decode_start = now
         idx = req.decode_replica
@@ -1261,22 +1216,12 @@ class Simulator:
         approx_sum = sum(c.approx_s for c in timing.per_request)
         decode_share = timing.shared_s + kv_sum + compute_sum + requant_sum
 
-        finished_entries = []
         for entry in snapshot:
             entry[0].accrue_decode(decode_share, dequant_sum, approx_sum,
                                    kv_sum)
             entry[0].add_token_time(now)
             entry[1] -= 1
-            if entry[1] <= 0:
-                finished_entries.append(entry)
-
-        if finished_entries:
-            # One-pass rebuild instead of per-entry list.remove() — that
-            # was O(batch) per finishing request, quadratic per event.
-            decode.active = [e for e in decode.active if e[1] > 0]
-            for entry in finished_entries:
-                self._finish_request(now, decode, entry[0])
-            self._admit_pending(now)
+        self._finish_entries(now, decode, snapshot)
         self._schedule_iteration(now, idx)
 
     # -- span stepping (fast-forward path) -------------------------------------
@@ -1332,12 +1277,7 @@ class Simulator:
             return                        # span was truncated by a join
         self._settle_span(decode, self.cost_model.span(decode.span_ctx0,
                                                        decode.span_k))
-        finished_entries = [e for e in decode.span_snapshot if e[1] <= 0]
-        if finished_entries:
-            decode.active = [e for e in decode.active if e[1] > 0]
-            for entry in finished_entries:
-                self._finish_request(now, decode, entry[0])
-            self._admit_pending(now)
+        self._finish_entries(now, decode, decode.span_snapshot)
         self._schedule_span(now, idx)
 
     def _interrupt_span(self, now: float, idx: int) -> None:
@@ -1376,6 +1316,19 @@ class Simulator:
 
     # -- shared decode bookkeeping ---------------------------------------------
 
+    def _finish_entries(self, now: float, decode: _DecodeReplica,
+                        snapshot: list) -> None:
+        """Finish every stepped request with no tokens left, then admit
+        swapped KV into the memory they freed."""
+        finished = [e for e in snapshot if e[1] <= 0]
+        if finished:
+            # One-pass rebuild instead of per-entry list.remove() — that
+            # was O(batch) per finishing request, quadratic per event.
+            decode.active = [e for e in decode.active if e[1] > 0]
+            for entry in finished:
+                self._finish_request(now, decode, entry[0])
+            self._admit_pending(now)
+
     def _finish_request(self, now: float, decode: _DecodeReplica,
                         req: SimRequest) -> None:
         req.finish = now
@@ -1391,10 +1344,8 @@ class Simulator:
                     req.method.kv_wire_bytes_per_value),
                 req.method.name, now)
         self._finished.append(req)
-        if self._elastic_enabled:
-            self._last_terminal_t = max(self._last_terminal_t, now)
-            if req.decode_replica >= 0:
-                self._maybe_retire(now, "decode", req.decode_replica)
+        self._last_terminal_t = max(self._last_terminal_t, now)
+        self._maybe_retire(now, "decode", req.decode_replica)
 
     def _admit_pending(self, now: float) -> None:
         still_waiting: deque = deque()
@@ -1419,11 +1370,7 @@ class Simulator:
             else:
                 self._decode_down(now, idx)
         elif kind == "replica_up":
-            role, idx = data
-            if role == "prefill":
-                self._prefill_up(now, idx)
-            else:
-                self._decode_up(now, idx)
+            self._replica_up(now, *data)
         elif kind == "nic_on":
             self._nic_factors.append(data)
         elif kind == "nic_off":
@@ -1434,13 +1381,6 @@ class Simulator:
         else:
             raise ValueError(f"unknown fault event kind {kind!r}")
 
-    def _nic_factor(self) -> float:
-        """Product of active NIC brownout factors (1.0 = healthy)."""
-        factor = 1.0
-        for f in self._nic_factors:
-            factor *= f
-        return factor
-
     def fault_capacity_signal(self) -> float:
         """Fraction of decode replicas currently down (0.0 unfaulted).
 
@@ -1449,8 +1389,6 @@ class Simulator:
         requests to the cheaper compression method exactly like
         store/NIC pressure does (graceful degradation).
         """
-        if not self._faults_enabled or not self._decode:
-            return 0.0
         down = sum(1 for d in self._decode if not d.up)
         return down / len(self._decode)
 
@@ -1474,11 +1412,7 @@ class Simulator:
                 if req.prefill_replica == idx and not req.swapped]
         for rid, req, comm in dead:
             del self._inflight[rid]
-            decode = self._decode[req.decode_replica]
-            decode.used_bytes -= req.reserved_bytes
-            decode.queued_tokens -= req.trace.total_len
-            req.reserved_bytes = 0.0
-            req.decode_replica = -1
+            self._release_decode(req)
             self._recover(now, req, lost_kv=True)
         for req in batch:
             # The buckets were charged the full planned pass up front;
@@ -1490,21 +1424,6 @@ class Simulator:
             self._dispatch_to_prefill(now, req)
         if dead:
             self._admit_pending(now)
-
-    def _prefill_up(self, now: float, idx: int) -> None:
-        replica = self._prefill[idx]
-        replica.down_count -= 1
-        if replica.down_count > 0:
-            return
-        replica.up = True
-        pending = self._pending_dispatch
-        self._pending_dispatch = deque()
-        for req in pending:
-            self._dispatch_to_prefill(now, req)
-        if self._elastic_enabled:
-            # A crash emptied this replica; if it was draining it can
-            # retire now that it is repaired-and-idle.
-            self._maybe_retire(now, "prefill", idx)
 
     def _decode_down(self, now: float, idx: int) -> None:
         decode = self._decode[idx]
@@ -1536,36 +1455,50 @@ class Simulator:
         decode.span_snapshot = []
         decode.span_ctx0 = None
         decode.span_cum = None
-        decode.used_bytes = 0.0
-        decode.queued_tokens = 0
         transfer_victims = [
             (rid, req, comm) for rid, (req, comm) in self._inflight.items()
             if req.decode_replica == idx
         ]
         for rid, req, comm in transfer_victims:
             del self._inflight[rid]
+            self._release_decode(req)
         for req in victims:
-            req.reserved_bytes = 0.0
-            req.decode_replica = -1
+            self._release_decode(req)
+        # Everything the replica held is gone; drop the rounding residue
+        # of the releases too.
+        decode.used_bytes = 0.0
+        decode.queued_tokens = 0
+        for req in victims:
             self._recover(now, req, lost_kv=True)
         for rid, req, comm in transfer_victims:
             # The KV still sits at the source; only the wire time was
             # wasted.  It re-lands in the queue bucket.
             req.comm_s -= comm
             req.wasted_compute_s += comm
-            req.reserved_bytes = 0.0
-            req.decode_replica = -1
             self._recover(now, req, lost_kv=False)
 
-    def _decode_up(self, now: float, idx: int) -> None:
-        decode = self._decode[idx]
-        decode.down_count -= 1
-        if decode.down_count > 0:
+    def _replica_up(self, now: float, role: str, idx: int) -> None:
+        r = self._fleets[role][idx]
+        r.down_count -= 1
+        if r.down_count > 0:
             return
-        decode.up = True
-        self._admit_pending(now)
-        if self._elastic_enabled:
-            self._maybe_retire(now, "decode", idx)
+        r.up = True
+        self._resume_parked(now, role)
+        # A crash emptied this replica; if it was draining it can
+        # retire now that it is repaired-and-idle.
+        self._maybe_retire(now, role, idx)
+
+    def _resume_parked(self, now: float, role: str) -> None:
+        """Hand parked work to a fleet that regained serving capacity:
+        re-dispatch requests no prefill replica could take, or admit
+        swapped KV into decode memory."""
+        if role == "prefill":
+            pending = self._pending_dispatch
+            self._pending_dispatch = deque()
+            for req in pending:
+                self._dispatch_to_prefill(now, req)
+        else:
+            self._admit_pending(now)
 
     def _unsettle_boundary_iteration(self, decode: _DecodeReplica) -> None:
         """Un-credit the boundary iteration a crash interrupted.
@@ -1599,20 +1532,24 @@ class Simulator:
             return             # a crash already recovered this attempt
         _, comm = self._inflight.pop(req.request_id)
         target = req.decode_replica
-        decode = self._decode[target]
-        decode.used_bytes -= req.reserved_bytes
-        decode.queued_tokens -= req.trace.total_len
-        req.reserved_bytes = 0.0
-        req.decode_replica = -1
+        self._release_decode(req)
         # The flapped attempt's wire time is wasted work, not KV
         # communication the request benefited from.
         req.comm_s -= comm
         req.wasted_compute_s += comm
         self._recover(now, req, lost_kv=False)
         self._admit_pending(now)
-        if self._elastic_enabled:
-            # The flap may have freed a draining replica's last bytes.
-            self._maybe_retire(now, "decode", target)
+        # The flap may have freed a draining replica's last bytes.
+        self._maybe_retire(now, "decode", target)
+
+    def _release_decode(self, req: SimRequest) -> None:
+        """Return a request's decode reservation (KV bytes and queued
+        tokens) to its replica and detach the request from it."""
+        decode = self._decode[req.decode_replica]
+        decode.used_bytes -= req.reserved_bytes
+        decode.queued_tokens -= req.trace.total_len
+        req.reserved_bytes = 0.0
+        req.decode_replica = -1
 
     def _recover(self, now: float, req: SimRequest, lost_kv: bool,
                  wasted_s: float | None = None) -> None:
@@ -1635,8 +1572,7 @@ class Simulator:
         if delay is None:
             req.failed = True
             self._failed.append(req)
-            if self._elastic_enabled:
-                self._last_terminal_t = max(self._last_terminal_t, now)
+            self._last_terminal_t = max(self._last_terminal_t, now)
             return
         req.n_retries = attempt
         self._push(now + delay, "retry", (req, req.attempt, lost_kv))
@@ -1721,7 +1657,7 @@ class Simulator:
         then drains the highest-index serving replicas: they take no
         new work and retire once idle — in-flight work is never killed.
         """
-        replicas = self._prefill if role == "prefill" else self._decode
+        replicas = self._fleets[role]
         cur = sum(1 for r in replicas if r.state in ("on", "starting"))
         undrained = False
         if want > cur:
@@ -1769,30 +1705,17 @@ class Simulator:
         if undrained:
             # A resurrected replica can serve again: drain whatever
             # parked while the fleet had no serving capacity.
-            if role == "prefill":
-                pending = self._pending_dispatch
-                self._pending_dispatch = deque()
-                for req in pending:
-                    self._dispatch_to_prefill(now, req)
-            else:
-                self._admit_pending(now)
+            self._resume_parked(now, role)
 
     def _on_elastic_boot(self, now: float, payload) -> None:
         role, idx, lifecycle = payload
-        replicas = self._prefill if role == "prefill" else self._decode
-        r = replicas[idx]
+        r = self._fleets[role][idx]
         if r.state != "starting" or r.lifecycle != lifecycle:
             return              # the boot was canceled by a scale-down
         r.state = "on"
         self._scale_events.append((now, role, "up", idx))
         self._record_replicas(now)
-        if role == "prefill":
-            pending = self._pending_dispatch
-            self._pending_dispatch = deque()
-            for req in pending:
-                self._dispatch_to_prefill(now, req)
-        else:
-            self._admit_pending(now)
+        self._resume_parked(now, role)
 
     def _replica_gpus(self, role: str, idx: int) -> int:
         if role == "prefill":
@@ -1805,17 +1728,16 @@ class Simulator:
         A crashed replica stays powered while down (a crash is not a
         power-off); the repair handlers re-check retirement.
         """
+        r = self._fleets[role][idx]
+        if r.state != "draining" or not r.up:
+            return
         if role == "prefill":
-            r = self._prefill[idx]
-            if not (r.state == "draining" and r.up
-                    and r.current is None and not r.queue):
-                return
+            busy = r.current is not None or r.queue
         else:
-            r = self._decode[idx]
             # Inbound transfers hold ``used_bytes``; wait them out.
-            if not (r.state == "draining" and r.up
-                    and not r.active and r.used_bytes <= 1e-9):
-                return
+            busy = r.active or r.used_bytes > 1e-9
+        if busy:
+            return
         r.gpu_s += self._replica_gpus(role, idx) * (now - r.on_since)
         r.state = "off"
         self._scale_events.append((now, role, "down", idx))
@@ -1825,8 +1747,7 @@ class Simulator:
         """The elastic summary block plus the live events/timeseries."""
         end = self._last_terminal_t
         gpu_hours = {"prefill": 0.0, "decode": 0.0}
-        for role, replicas in (("prefill", self._prefill),
-                               ("decode", self._decode)):
+        for role, replicas in self._fleets.items():
             for idx, r in enumerate(replicas):
                 accrued = r.gpu_s
                 if r.state != "off":
@@ -1859,7 +1780,7 @@ class Simulator:
             "autoscaler": self.config.autoscaler.canonical()
             if self.config.autoscaler is not None else DEFAULT_AUTOSCALER,
             "admission": self.config.admission.canonical()
-            if self.config.admission is not None else "accept_all",
+            if self.config.admission is not None else DEFAULT_ADMISSION,
             "n_scale_ups": sum(1 for ev in self._scale_events
                                if ev[2] in ("boot", "undrain")),
             "n_scale_downs": sum(1 for ev in self._scale_events

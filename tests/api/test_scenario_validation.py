@@ -1,12 +1,17 @@
 """Invalid scenario combinations fail when the Scenario is built, not
 mid-run; nothing below the trace-length floor is clamped silently."""
 
+from dataclasses import replace
+
 import pytest
 
 import repro.api.runner as runner_mod
 from repro.api import Runner, Scenario, Sweep
 from repro.api.runner import resolve
 from repro.api.scenario import MIN_REQUESTS
+from repro.methods import get_method
+from repro.model import get_model
+from repro.sim import default_cluster
 
 
 class TestRequestCount:
@@ -41,6 +46,29 @@ class TestKVStoreOutage:
     def test_unknown_store_family_left_to_resolution(self):
         scenario = Scenario(faults="kvstore_outage", kvstore="custom_store")
         assert scenario.kvstore == "custom_store"
+
+
+class TestReplicaCounts:
+    @pytest.mark.parametrize("field", ["n_prefill_replicas",
+                                       "n_decode_replicas"])
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_count_below_one_rejected(self, field, count):
+        with pytest.raises(ValueError, match=f"{field} must be >= 1"):
+            Scenario(n_requests=10, **{field: count})
+
+    @pytest.mark.parametrize("field", ["n_prefill_replicas",
+                                       "n_decode_replicas"])
+    def test_cluster_config_rejects_count_below_one(self, field):
+        config = default_cluster(get_model("L"), get_method("baseline"),
+                                 "A10G")
+        with pytest.raises(ValueError, match=f"{field} must be >= 1"):
+            replace(config, **{field: 0})
+
+    def test_one_replica_per_role_runs(self):
+        artifact = Runner().run(Scenario(
+            dataset="imdb", n_requests=10, n_prefill_replicas=1,
+            n_decode_replicas=1))
+        assert artifact.methods["baseline"].summary["n_requests"] == 10
 
 
 class TestHeterogeneousFleet:

@@ -171,11 +171,45 @@ class TestRegistries:
 # -- armed-but-idle byte identity ---------------------------------------------
 
 
+#: Summary keys derived from GPU-hours.  With an autoscaler configured
+#: they come from the per-replica lifecycle accrual, which sums replica
+#: by replica and so can differ from the static backfill (provisioned
+#: GPUs x window) in the last bits.
+_COST_KEYS = ("gpu_hours", "goodput_per_gpu_hour")
+
+
+def _assert_same_summary(armed: dict, plain: dict) -> None:
+    for key in _COST_KEYS:
+        assert armed.pop(key) == pytest.approx(plain.pop(key), rel=1e-12)
+    assert armed == plain
+
+
 class TestArmedIdleIdentity:
-    def test_static_accept_all_records_identical(self):
-        plain = _run(seed=1)
-        armed = _run(seed=1, autoscaler="static", admission="accept_all")
+    @pytest.mark.parametrize("mode", ["span", "token"])
+    def test_static_accept_all_records_identical(self, mode):
+        plain = _run(mode=mode, seed=1)
+        armed = _run(mode=mode, seed=1, autoscaler="static",
+                     admission="accept_all")
         assert plain.to_records() == armed.to_records()
+        summary = armed.summary()
+        summary.pop("elastic")
+        _assert_same_summary(summary, plain.summary())
+
+    @pytest.mark.parametrize("mode", ["span", "token"])
+    def test_everything_armed_idle_matches_plain(self, mode):
+        """Faults, recovery, autoscaler and admission all configured but
+        inert: the engine runs the same path as a plain run, so only
+        the two accounting blocks differ."""
+        plain = _run(mode=mode, seed=1)
+        armed = _run(mode=mode, seed=1,
+                     faults="nic_degrade?start=1e9,duration=1.0",
+                     recovery="retry", autoscaler="static",
+                     admission="accept_all")
+        assert plain.to_records() == armed.to_records()
+        summary = armed.summary()
+        summary.pop("faults")
+        summary.pop("elastic")
+        _assert_same_summary(summary, plain.summary())
 
     def test_idle_elastic_block_shape(self):
         armed = _run(seed=1, autoscaler="static")
