@@ -91,29 +91,41 @@ def homomorphic_matmul(
     _check_operands(qa, qb)
     bounds = qa.bounds()
     m, n = qa.codes.shape[0], qb.codes.shape[1]
-    out = np.zeros((m, n), dtype=np.float64)
+    if not bounds:
+        return np.zeros((m, n), dtype=np.float64)
+    n_parts, pi = len(bounds), qa.partition_size
+    pad = n_parts * pi - qa.codes.shape[1]
 
-    b_sums = qb.partition_sums(cached=use_cached_b_sums)  # (P, N)
-    a_codes = qa.codes.astype(np.int64)
-    b_codes = qb.codes.astype(np.int64)
+    # All partitions' integer products in one batched matmul: (P, M, N).
+    # Codes are at most 8 bits, so float64 holds every product and
+    # partial sum exactly, whatever order BLAS adds them in; the same
+    # holds for the per-partition code sums below.
+    a_codes = qa.codes.astype(np.float64)
+    b_codes = qb.codes.astype(np.float64)
+    if pad:  # a ragged last partition, zero-filled to Π
+        a_codes = np.concatenate([a_codes, np.zeros((m, pad))], axis=1)
+        b_codes = np.concatenate([b_codes, np.zeros((pad, n))], axis=0)
+    a_parts = a_codes.reshape(m, n_parts, pi).transpose(1, 0, 2)
+    int_prod = a_parts @ b_codes.reshape(n_parts, pi, n)
 
-    for p, (lo, hi) in enumerate(bounds):
-        width = hi - lo
-        int_prod = a_codes[:, lo:hi] @ b_codes[lo:hi, :]
-        a_sum = a_codes[:, lo:hi].sum(axis=1)  # (M,)
+    # Per-partition operands of the three correction terms, laid out
+    # (P, M, 1) for A and (P, 1, N) for B.
+    a_sums = a_parts.sum(axis=2, keepdims=True)
+    b_sums = qb.partition_sums(cached=use_cached_b_sums)[:, None, :]
+    s_a, m_a = qa.scales.T[:, :, None], qa.mins.T[:, :, None]
+    s_b, m_b = qb.scales[:, None, :], qb.mins[:, None, :]
+    width = np.array([hi - lo for lo, hi in bounds])[:, None, None]
 
-        s_a = qa.scales[:, p][:, None]  # (M, 1)
-        m_a = qa.mins[:, p][:, None]
-        s_b = qb.scales[p, :][None, :]  # (1, N)
-        m_b = qb.mins[p, :][None, :]
-
-        out += (
-            s_a * s_b * int_prod
-            + m_b * (s_a * a_sum[:, None])
-            + m_a * (s_b * b_sums[p, :][None, :])
-            + width * m_a * m_b
-        )
-    return out
+    terms = (
+        s_a * s_b * int_prod
+        + m_b * (s_a * a_sums)
+        + m_a * (s_b * b_sums)
+        + width * m_a * m_b
+    )
+    # Sum the partitions in index order; ``accumulate`` is sequential,
+    # unlike ``add.reduce``'s pairwise summation.  Adding 0.0 maps a
+    # -0.0 total to +0.0, as summing into a zero-filled output does.
+    return np.add.accumulate(terms, axis=0)[-1] + 0.0
 
 
 def homomorphic_matmul_blocked(

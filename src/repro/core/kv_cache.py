@@ -28,6 +28,23 @@ forms whole partitions of its own and never disturbs existing metadata;
 V is partitioned along the sequence dimension, which is what creates
 the partial-block problem RQE solves (Fig. 7).
 
+Storage layout: every cache keeps its rows in append-only row buffers
+(:class:`_RowBuffer`), one 2-D numpy array per quantity whose capacity
+doubles as tokens arrive and which copies what it is given, so a cache
+never aliases the caller's arrays.  A decode step reads views of these
+buffers as its operands instead of restacking per-token rows:
+
+* FP16 K and V are one ``(L, d)`` buffer each.
+* Quantized K (and the dequantizing cache's V) is row-partitioned: a
+  ``(L, d)`` uint8 code buffer plus ``(L, P)`` min, scale and — under
+  SE — integer-sum buffers, ``P = ⌈d/Π⌉``.  HACK's ``Kᵀ`` operand is
+  the transposed view of these.
+* HACK's quantized V is the full sequence blocks concatenated: ``(n·Π,
+  d)`` codes and one ``(1, d)`` row of min, scale and sum per block,
+  appended once when a block fills.  The partial block lives apart —
+  FP16 rows under RQE, a ragged quantized block without — and only
+  that ragged block is concatenated onto the operand.
+
 Every cache tallies a :class:`CacheLedger` of analytic operation counts
 so integration tests and the performance model can charge exactly what
 each design pays.
@@ -41,7 +58,7 @@ import numpy as np
 
 from . import costs
 from .attention import softmax
-from .homomorphic import homomorphic_matmul
+from .homomorphic import homomorphic_matmul, transpose
 from .packing import packed_nbytes
 from .quantize import (
     QuantizedTensor,
@@ -79,6 +96,72 @@ class CacheLedger:
         self.decode_iterations += other.decode_iterations
 
 
+class _RowBuffer:
+    """Append-only 2-D array whose capacity doubles as rows arrive.
+
+    :meth:`extend` copies its input, and :meth:`view` returns the filled
+    rows without copying.  Rows already filled are never written again,
+    so a view stays valid after later appends.
+    """
+
+    def __init__(self, width: int, dtype=np.float64, capacity: int = 1) -> None:
+        self._data = np.empty((capacity, width), dtype=dtype)
+        self._n = 0
+
+    def __len__(self) -> int:
+        return self._n
+
+    def extend(self, rows: np.ndarray) -> None:
+        """Copy ``rows``, shape ``(n, width)``, onto the end."""
+        end = self._n + len(rows)
+        if end > len(self._data):
+            grown = np.empty((max(end, 2 * len(self._data)), self._data.shape[1]),
+                             dtype=self._data.dtype)
+            grown[:self._n] = self._data[:self._n]
+            self._data = grown
+        self._data[self._n:end] = rows
+        self._n = end
+
+    def view(self) -> np.ndarray:
+        """The filled rows, shape ``(len(self), width)``."""
+        return self._data[:self._n]
+
+
+class _QuantizedRows:
+    """Quantized tensors concatenated along their rows.
+
+    Codes, mins, scales and (optionally) the SE partition sums each live
+    in a :class:`_RowBuffer`; :meth:`tensor` wraps views of them in one
+    :class:`QuantizedTensor`.  Row-partitioned tensors (``axis == 1``)
+    stack one metadata row per token; column-partitioned full blocks
+    (``axis == 0``, Π rows each) stack one metadata row per block.
+    """
+
+    def __init__(self, width: int, n_meta: int, bits: int, axis: int,
+                 partition_size: int, with_sums: bool) -> None:
+        self.bits = bits
+        self.axis = axis
+        self.partition_size = partition_size
+        self.codes = _RowBuffer(width, np.uint8)
+        self.mins = _RowBuffer(n_meta)
+        self.scales = _RowBuffer(n_meta)
+        self.sums = _RowBuffer(n_meta, np.int64) if with_sums else None
+
+    def extend(self, qt: QuantizedTensor) -> None:
+        self.codes.extend(qt.codes)
+        self.mins.extend(qt.mins)
+        self.scales.extend(qt.scales)
+        if self.sums is not None:
+            self.sums.extend(qt.partition_sums())
+
+    def tensor(self) -> QuantizedTensor:
+        return QuantizedTensor(
+            codes=self.codes.view(), mins=self.mins.view(),
+            scales=self.scales.view(), bits=self.bits, axis=self.axis,
+            partition_size=self.partition_size,
+            _sums=None if self.sums is None else self.sums.view())
+
+
 class _BaseKVCache:
     """Shared bookkeeping: length, ledger, append validation."""
 
@@ -114,14 +197,13 @@ class Fp16KVCache(_BaseKVCache):
 
     def __init__(self, head_dim: int) -> None:
         super().__init__(head_dim)
-        self._k: list[np.ndarray] = []
-        self._v: list[np.ndarray] = []
+        self._k = _RowBuffer(head_dim)
+        self._v = _RowBuffer(head_dim)
 
     def append(self, k_vec: np.ndarray, v_vec: np.ndarray) -> None:
         """Add one token's K and V rows."""
-        self._k.append(self._check_vec(k_vec, "k_vec"))
-        self._v.append(self._check_vec(v_vec, "v_vec"))
-        self._length += 1
+        self.append_bulk(self._check_vec(k_vec, "k_vec")[None, :],
+                         self._check_vec(v_vec, "v_vec")[None, :])
 
     def append_bulk(self, k: np.ndarray, v: np.ndarray) -> None:
         """Add many tokens at once (prefill handoff)."""
@@ -134,16 +216,15 @@ class Fp16KVCache(_BaseKVCache):
         self._length += k.shape[0]
 
     def materialize(self) -> tuple[np.ndarray, np.ndarray]:
-        """Return the cache contents as (K, V) matrices."""
-        return np.array(self._k), np.array(self._v)
+        """Return copies of the cache contents as (K, V) matrices."""
+        return self._k.view().copy(), self._v.view().copy()
 
     def attention(self, q_vec: np.ndarray) -> np.ndarray:
         """One exact decode step: attend ``q_vec`` over the whole cache."""
         q = self._check_vec(q_vec, "q_vec")[None, :]
-        k, v = self.materialize()
-        scores = (q @ k.T) / np.sqrt(self.head_dim)
+        scores = (q @ self._k.view().T) / np.sqrt(self.head_dim)
         probs = softmax(scores, axis=-1)
-        out = probs @ v
+        out = probs @ self._v.view()
         self.ledger.fp_matmul_flops += costs.attention_flops(1, len(self), self.head_dim)
         self.ledger.decode_iterations += 1
         return out[0]
@@ -175,8 +256,13 @@ class DequantizingKVCache(_BaseKVCache):
         self.kv_bits = kv_bits
         self.rounding = rounding
         self._rng = rng if rng is not None else np.random.default_rng(0)
-        self._k_parts: list[QuantizedTensor] = []
-        self._v_parts: list[QuantizedTensor] = []
+        n_parts = len(partition_bounds(head_dim, partition_size))
+        self._k = _QuantizedRows(head_dim, n_parts, kv_bits, 1,
+                                 partition_size, with_sums=False)
+        self._v = _QuantizedRows(head_dim, n_parts, kv_bits, 1,
+                                 partition_size, with_sums=False)
+        # Codes are packed per appended batch, so bytes are too.
+        self._nbytes = 0
 
     def append(self, k_vec: np.ndarray, v_vec: np.ndarray) -> None:
         """Quantize and store one token's K and V rows."""
@@ -193,20 +279,18 @@ class DequantizingKVCache(_BaseKVCache):
             raise ValueError("k and v must hold the same number of tokens")
         if k.shape[0] == 0:
             return
-        for mat, parts in ((k, self._k_parts), (v, self._v_parts)):
-            parts.append(
-                quantize(mat, self.kv_bits, axis=1,
-                         partition_size=self.partition_size,
-                         rng=self._rng, rounding=self.rounding)
-            )
+        for mat, rows in ((k, self._k), (v, self._v)):
+            qt = quantize(mat, self.kv_bits, axis=1,
+                          partition_size=self.partition_size,
+                          rng=self._rng, rounding=self.rounding)
+            rows.extend(qt)
+            self._nbytes += qt.code_nbytes() + qt.metadata_nbytes()
             self.ledger.quant_flops += costs.quantize_flops(mat.size)
         self._length += k.shape[0]
 
     def materialize(self) -> tuple[np.ndarray, np.ndarray]:
         """Dequantize the whole cache to (K̂, V̂)."""
-        k = np.concatenate([dequantize(p) for p in self._k_parts], axis=0)
-        v = np.concatenate([dequantize(p) for p in self._v_parts], axis=0)
-        return k, v
+        return dequantize(self._k.tensor()), dequantize(self._v.tensor())
 
     def attention(self, q_vec: np.ndarray) -> np.ndarray:
         """One decode step: dequantize everything, then FP attention."""
@@ -226,10 +310,7 @@ class DequantizingKVCache(_BaseKVCache):
 
     def kv_nbytes(self) -> int:
         """Bytes for packed codes plus FP16 quantization metadata."""
-        return sum(
-            p.code_nbytes() + p.metadata_nbytes()
-            for p in self._k_parts + self._v_parts
-        )
+        return self._nbytes
 
 
 class HackKVCache(_BaseKVCache):
@@ -241,7 +322,9 @@ class HackKVCache(_BaseKVCache):
         Per-head embedding width ``d_h``.
     partition_size:
         Π, used for both the head-dimension partitions of K and the
-        sequence-dimension partitions of V.
+        sequence-dimension partitions of V.  A Π larger than ``d_h``
+        makes each K row one ragged partition; V still flushes every Π
+        tokens.
     kv_bits, q_bits, p_bits:
         Code widths (paper defaults 2 / 8 / 8).
     enable_se:
@@ -263,9 +346,6 @@ class HackKVCache(_BaseKVCache):
         rng: np.random.Generator | None = None,
     ) -> None:
         super().__init__(head_dim)
-        if head_dim % partition_size and partition_size > head_dim:
-            # A Π larger than d_h degenerates to one partition per row.
-            partition_size = head_dim
         self.partition_size = partition_size
         self.kv_bits = kv_bits
         self.q_bits = q_bits
@@ -276,17 +356,23 @@ class HackKVCache(_BaseKVCache):
         self._rng = rng if rng is not None else np.random.default_rng(0)
 
         # K: one row per token, partitions along the head dimension.
-        self._k_codes: list[np.ndarray] = []   # each (d,)
-        self._k_mins: list[np.ndarray] = []    # each (P_k,)
-        self._k_scales: list[np.ndarray] = []
-        self._k_sums: list[np.ndarray] = []    # each (P_k,), only when SE
+        self._k = _QuantizedRows(
+            head_dim, len(partition_bounds(head_dim, partition_size)),
+            kv_bits, 1, partition_size, with_sums=enable_se)
 
-        # V: full sequence-dimension blocks of Π tokens.
+        # V: full sequence-dimension blocks of Π tokens, each kept as its
+        # own QuantizedTensor (for byte accounting) and appended once to
+        # the concatenated operand.
         self._v_blocks: list[QuantizedTensor] = []   # each (Π, d), axis=0
+        self._v = _QuantizedRows(head_dim, head_dim, kv_bits, 0,
+                                 partition_size, with_sums=enable_se)
         # Partial last block: FP16 rows under RQE, or a ragged
         # QuantizedTensor (requantized on every append) without RQE.
-        self._v_tail_fp: list[np.ndarray] = []
+        self._v_tail_fp = self._new_v_tail()
         self._v_tail_q: QuantizedTensor | None = None
+
+    def _new_v_tail(self) -> _RowBuffer:
+        return _RowBuffer(self.head_dim, capacity=self.partition_size)
 
     # -- appends ----------------------------------------------------------
 
@@ -295,7 +381,7 @@ class HackKVCache(_BaseKVCache):
         k_vec = self._check_vec(k_vec, "k_vec")
         v_vec = self._check_vec(v_vec, "v_vec")
         self._append_k(k_vec[None, :])
-        self._append_v_row(v_vec)
+        self._append_v_rows(v_vec[None, :])
         self._length += 1
 
     def append_bulk(self, k: np.ndarray, v: np.ndarray) -> None:
@@ -307,41 +393,42 @@ class HackKVCache(_BaseKVCache):
         if k.shape[0] == 0:
             return
         self._append_k(k)
-        for row in v:
-            self._append_v_row(row)
+        self._append_v_rows(v)
         self._length += k.shape[0]
 
     def _append_k(self, k: np.ndarray) -> None:
         qt = quantize(k, self.kv_bits, axis=1, partition_size=self.partition_size,
                       rng=self._rng, rounding=self.rounding)
         self.ledger.quant_flops += costs.quantize_flops(k.size)
-        sums = qt.partition_sums() if self.enable_se else None
-        for i in range(k.shape[0]):
-            self._k_codes.append(qt.codes[i])
-            self._k_mins.append(qt.mins[i])
-            self._k_scales.append(qt.scales[i])
-            if sums is not None:
-                self._k_sums.append(sums[i])
+        self._k.extend(qt)
 
-    def _append_v_row(self, v_vec: np.ndarray) -> None:
-        if self.enable_rqe:
-            self._v_tail_fp.append(v_vec)
+    def _append_v_rows(self, v: np.ndarray) -> None:
+        if not self.enable_rqe:
+            for row in v:
+                self._requantize_v_tail(row)
+            return
+        while len(v):
+            room = self.partition_size - len(self._v_tail_fp)
+            self._v_tail_fp.extend(v[:room])
+            v = v[room:]
             if len(self._v_tail_fp) == self.partition_size:
                 self._flush_v_tail()
-        else:
-            self._requantize_v_tail(v_vec)
 
     def _flush_v_tail(self) -> None:
         """Quantize a now-full FP16 tail into a permanent V block (RQE)."""
-        block = np.array(self._v_tail_fp)
+        block = self._v_tail_fp.view()
         qt = quantize(block, self.kv_bits, axis=0,
                       partition_size=self.partition_size,
                       rng=self._rng, rounding=self.rounding)
         self.ledger.quant_flops += costs.quantize_flops(block.size)
-        if self.enable_se:
-            qt.partition_sums()  # memoize now; reads are free afterwards
+        self._add_v_block(qt)
+        self._v_tail_fp = self._new_v_tail()
+
+    def _add_v_block(self, qt: QuantizedTensor) -> None:
+        # Under SE the block's sums are computed (and memoized) here,
+        # once; reads are free afterwards.
         self._v_blocks.append(qt)
-        self._v_tail_fp = []
+        self._v.extend(qt)
 
     def _requantize_v_tail(self, v_vec: np.ndarray) -> None:
         """Faithful no-RQE path: dequantize-extend-requantize (Fig. 8).
@@ -362,9 +449,7 @@ class HackKVCache(_BaseKVCache):
                       rng=self._rng, rounding=self.rounding)
         self.ledger.quant_flops += costs.quantize_flops(rows.size)
         if rows.shape[0] == self.partition_size:
-            if self.enable_se:
-                qt.partition_sums()
-            self._v_blocks.append(qt)
+            self._add_v_block(qt)
             self._v_tail_q = None
         else:
             self._v_tail_q = qt
@@ -389,9 +474,7 @@ class HackKVCache(_BaseKVCache):
         probs = softmax(scores, axis=-1)
 
         out = np.zeros((1, d))
-        n_quantized = len(self._v_blocks) * self.partition_size
-        if self._v_tail_q is not None:
-            n_quantized += self._v_tail_q.codes.shape[0]
+        n_quantized = length - len(self._v_tail_fp)
 
         if n_quantized:
             p_part = probs[:, :n_quantized]
@@ -408,8 +491,7 @@ class HackKVCache(_BaseKVCache):
 
         n_tail = len(self._v_tail_fp)
         if n_tail:
-            tail = np.array(self._v_tail_fp)
-            out += probs[:, n_quantized:] @ tail
+            out += probs[:, n_quantized:] @ self._v_tail_fp.view()
             self.ledger.fp_matmul_flops += costs.matmul_flops(1, n_tail, d)
 
         self.ledger.int_matmul_flops += costs.matmul_flops(1, d, length)
@@ -420,55 +502,37 @@ class HackKVCache(_BaseKVCache):
         return out[0]
 
     def _k_transposed(self) -> QuantizedTensor:
-        """Assemble the ``Kᵀ`` operand for Eq. 4 from per-token storage."""
-        codes = np.array(self._k_codes).T          # (d, L)
-        mins = np.array(self._k_mins).T            # (P_k, L)
-        scales = np.array(self._k_scales).T
-        sums = np.array(self._k_sums).T if self.enable_se and self._k_sums else None
-        return QuantizedTensor(codes=codes, mins=mins, scales=scales,
-                               bits=self.kv_bits, axis=0,
-                               partition_size=self.partition_size, _sums=sums)
+        """The ``Kᵀ`` operand for Eq. 4: transposed views of K's storage."""
+        return transpose(self._k.tensor())
 
     def _v_quantized(self) -> QuantizedTensor:
-        """Assemble the quantized-V operand (full blocks + ragged tail)."""
-        blocks = list(self._v_blocks)
-        if self._v_tail_q is not None:
-            blocks.append(self._v_tail_q)
-        codes = np.concatenate([b.codes for b in blocks], axis=0)
-        mins = np.stack([row for b in blocks for row in b.mins], axis=0)
-        scales = np.stack([row for b in blocks for row in b.scales], axis=0)
+        """The quantized-V operand: full blocks plus any ragged tail."""
+        blocks, tail = self._v.tensor(), self._v_tail_q
+        if tail is None:
+            return blocks
         sums = None
-        if self.enable_se and all(b._sums is not None for b in blocks):
-            sums = np.concatenate([b._sums for b in blocks], axis=0)
-        return QuantizedTensor(codes=codes, mins=mins, scales=scales,
-                               bits=self.kv_bits, axis=0,
-                               partition_size=self.partition_size, _sums=sums)
+        if self.enable_se:
+            sums = np.concatenate([blocks._sums, tail.partition_sums()])
+        return QuantizedTensor(
+            codes=np.concatenate([blocks.codes, tail.codes]),
+            mins=np.concatenate([blocks.mins, tail.mins]),
+            scales=np.concatenate([blocks.scales, tail.scales]),
+            bits=self.kv_bits, axis=0, partition_size=self.partition_size,
+            _sums=sums)
 
     # -- inspection & accounting -------------------------------------------
 
     def materialize(self) -> tuple[np.ndarray, np.ndarray]:
         """Reconstruct (K̂, V̂): dequantized codes plus the exact FP tail."""
-        bounds = partition_bounds(self.head_dim, self.partition_size)
-        k_hat = np.empty((len(self._k_codes), self.head_dim))
-        for t, (codes, mins, scales) in enumerate(
-            zip(self._k_codes, self._k_mins, self._k_scales)
-        ):
-            for p, (lo, hi) in enumerate(bounds):
-                k_hat[t, lo:hi] = codes[lo:hi].astype(np.float64) * scales[p] + mins[p]
-        parts = [dequantize(b) for b in self._v_blocks]
-        if self._v_tail_q is not None:
-            parts.append(dequantize(self._v_tail_q))
-        if self._v_tail_fp:
-            parts.append(np.array(self._v_tail_fp))
-        v_hat = np.concatenate(parts, axis=0) if parts else np.zeros((0, self.head_dim))
-        return k_hat, v_hat
+        k_hat = dequantize(self._k.tensor())
+        parts = [dequantize(self._v_quantized()), self._v_tail_fp.view()]
+        return k_hat, np.concatenate(parts, axis=0)
 
     def kv_nbytes(self) -> int:
         """Bytes for packed codes plus FP16 min/scale metadata."""
-        n_tokens_k = len(self._k_codes)
-        n_parts_k = len(self._k_mins[0]) if self._k_mins else 0
-        k_bytes = packed_nbytes(n_tokens_k * self.head_dim, self.kv_bits)
-        k_bytes += 2 * n_tokens_k * n_parts_k * _FP16_BYTES
+        k_meta = self._k.mins.view().size + self._k.scales.view().size
+        k_bytes = packed_nbytes(self._k.codes.view().size, self.kv_bits)
+        k_bytes += k_meta * _FP16_BYTES
         v_bytes = sum(b.code_nbytes() + b.metadata_nbytes() for b in self._v_blocks)
         if self._v_tail_q is not None:
             v_bytes += self._v_tail_q.code_nbytes() + self._v_tail_q.metadata_nbytes()
@@ -479,7 +543,7 @@ class HackKVCache(_BaseKVCache):
         if not self.enable_se:
             return 0
         width = sum_storage_bits(self.kv_bits, self.partition_size) // 8
-        n_k = sum(s.size for s in self._k_sums)
+        n_k = self._k.sums.view().size
         n_v = sum(b.mins.size for b in self._v_blocks)
         return (n_k + n_v) * width
 

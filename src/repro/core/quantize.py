@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .packing import packed_nbytes
-from .rounding import nearest_round, stochastic_round
+from .rounding import make_rng, nearest_round, round_with_draws
 
 __all__ = [
     "QuantizedTensor",
@@ -51,13 +51,8 @@ def partition_bounds(length: int, partition_size: int) -> list[tuple[int, int]]:
         raise ValueError(f"partition_size must be positive, got {partition_size}")
     if length < 0:
         raise ValueError(f"length must be non-negative, got {length}")
-    bounds = []
-    start = 0
-    while start < length:
-        end = min(start + partition_size, length)
-        bounds.append((start, end))
-        start = end
-    return bounds
+    return [(lo, min(lo + partition_size, length))
+            for lo in range(0, length, partition_size)]
 
 
 def sum_storage_bits(bits: int, partition_size: int) -> int:
@@ -130,7 +125,7 @@ class QuantizedTensor:
         if cached and self._sums is not None:
             return self._sums
         sums = _partition_reduce(self.codes.astype(np.int64), self.axis,
-                                 self.bounds(), np.add.reduce)
+                                 self.bounds(), np.add)
         if cached:
             self._sums = sums
         return sums
@@ -205,30 +200,21 @@ def quantize(
     bounds = partition_bounds(x.shape[axis], partition_size)
     levels = (1 << bits) - 1
 
-    mins = _partition_reduce(x, axis, bounds, np.minimum.reduce)
-    maxs = _partition_reduce(x, axis, bounds, np.maximum.reduce)
+    mins = _partition_reduce(x, axis, bounds, np.minimum)
+    maxs = _partition_reduce(x, axis, bounds, np.maximum)
     scales = (maxs - mins) / levels
     # Constant partitions quantize to code 0 and dequantize to `min`
     # exactly; dividing by 1 instead of 0 keeps the arithmetic finite.
     safe_scales = np.where(scales == 0.0, 1.0, scales)
 
-    codes = np.empty(x.shape, dtype=np.uint8)
-    for p, (lo, hi) in enumerate(bounds):
-        if axis == 1:
-            block = x[:, lo:hi]
-            normalized = (block - mins[:, p, None]) / safe_scales[:, p, None]
-        else:
-            block = x[lo:hi, :]
-            normalized = (block - mins[None, p, :]) / safe_scales[None, p, :]
-        if rounding == "stochastic":
-            rounded = stochastic_round(normalized, rng)
-        else:
-            rounded = nearest_round(normalized)
-        rounded = np.clip(rounded, 0, levels)
-        if axis == 1:
-            codes[:, lo:hi] = rounded.astype(np.uint8)
-        else:
-            codes[lo:hi, :] = rounded.astype(np.uint8)
+    normalized = ((x - _expand(mins, axis, bounds))
+                  / _expand(safe_scales, axis, bounds))
+    if rounding == "stochastic":
+        rounded = round_with_draws(normalized,
+                                   _rounding_draws(x.shape, axis, bounds, rng))
+    else:
+        rounded = nearest_round(normalized)
+    codes = np.clip(rounded, 0, levels).astype(np.uint8)
 
     return QuantizedTensor(
         codes=codes,
@@ -247,24 +233,49 @@ def dequantize(qt: QuantizedTensor) -> np.ndarray:
     here as the reference the homomorphic matmul is verified against,
     and as the per-iteration cost the comparator methods pay.
     """
-    out = np.empty(qt.codes.shape, dtype=np.float64)
-    codes = qt.codes.astype(np.float64)
-    for p, (lo, hi) in enumerate(qt.bounds()):
-        if qt.axis == 1:
-            out[:, lo:hi] = (
-                codes[:, lo:hi] * qt.scales[:, p, None] + qt.mins[:, p, None]
-            )
-        else:
-            out[lo:hi, :] = (
-                codes[lo:hi, :] * qt.scales[None, p, :] + qt.mins[None, p, :]
-            )
-    return out
+    bounds = qt.bounds()
+    return (qt.codes.astype(np.float64) * _expand(qt.scales, qt.axis, bounds)
+            + _expand(qt.mins, qt.axis, bounds))
 
 
-def _partition_reduce(x, axis, bounds, reducer):
-    """Apply ``reducer`` within each partition along ``axis``."""
-    pieces = []
-    for lo, hi in bounds:
-        block = x[:, lo:hi] if axis == 1 else x[lo:hi, :]
-        pieces.append(reducer(block, axis=axis))
-    return np.stack(pieces, axis=axis)
+def _partition_reduce(x, axis, bounds, ufunc):
+    """Reduce ``x`` with ``ufunc`` within each partition along ``axis``.
+
+    One ``reduceat`` over the partition starts, which is exact for
+    min, max and integer sums.
+    """
+    return ufunc.reduceat(x, [lo for lo, _ in bounds], axis=axis)
+
+
+def _expand(per_partition, axis, bounds):
+    """Repeat each partition's value across the elements it covers."""
+    return np.repeat(per_partition, [hi - lo for lo, hi in bounds], axis=axis)
+
+
+def _rounding_draws(shape, axis, bounds, rng):
+    """Uniform draws for stochastic rounding, in partition order.
+
+    The stream is the one a partition-by-partition evaluation consumes:
+    each block drawn in C order from ``rng``, block after block — or,
+    with no generator, each block from a fresh :func:`make_rng`, which
+    is what :func:`stochastic_round` does when given none.  Codes and
+    the generator's final state therefore do not depend on evaluating
+    all partitions in one pass.  With ``axis == 0`` or a single row the
+    blocks tile the matrix in C order, so one draw of the whole shape
+    is that stream.
+    """
+    rows, cols = shape
+    if rng is not None and (axis == 0 or rows == 1):
+        return rng.random(shape)
+    widths = [hi - lo for lo, hi in bounds]
+    lo = np.repeat([lo for lo, _ in bounds], widths)   # per index along axis
+    i, j = np.arange(rows)[:, None], np.arange(cols)[None, :]
+    if axis == 1:
+        in_block = i * np.repeat(widths, widths)[None, :] + (j - lo[None, :])
+        block_start = rows * lo[None, :]
+    else:
+        in_block = (i - lo[:, None]) * cols + j
+        block_start = lo[:, None] * cols
+    if rng is None:
+        return make_rng().random(rows * cols)[in_block]
+    return rng.random(rows * cols)[block_start + in_block]

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["stochastic_round", "nearest_round", "make_rng"]
+__all__ = ["stochastic_round", "round_with_draws", "nearest_round", "make_rng"]
 
 
 def make_rng(seed: int | None = 0) -> np.random.Generator:
@@ -50,10 +50,18 @@ def stochastic_round(
     if rng is None:
         rng = make_rng()
     x = np.asarray(x, dtype=np.float64)
+    return round_with_draws(x, rng.random(size=x.shape))
+
+
+def round_with_draws(x: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """Stochastic rounding of ``x`` given its uniform ``draws`` in [0, 1).
+
+    Each element rounds up exactly when its draw falls below its
+    fractional part.  Callers that must lay the draws out themselves
+    (the one-pass partitioned quantizer) share the rule through here.
+    """
     low = np.floor(x)
-    frac = x - low
-    draws = rng.random(size=x.shape)
-    return low + (draws < frac)
+    return low + (draws < x - low)
 
 
 def nearest_round(x: np.ndarray) -> np.ndarray:

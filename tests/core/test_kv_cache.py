@@ -1,11 +1,20 @@
 """Tests for repro.core.kv_cache — SE, RQE, and the three cache families."""
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.kv_cache import DequantizingKVCache, Fp16KVCache, HackKVCache
+from repro.core import kv_cache as kv_cache_module
+from repro.core.attention import softmax
+from repro.core.kv_cache import (
+    DequantizingKVCache,
+    Fp16KVCache,
+    HackKVCache,
+    _RowBuffer,
+)
 from repro.core.quantize import quantize, dequantize
 from repro.core.rounding import make_rng
 
@@ -332,3 +341,140 @@ def test_cache_length_invariant(n_tokens, pi):
     k_hat, v_hat = cache.materialize()
     assert k_hat.shape == (n_tokens, D)
     assert v_hat.shape == (n_tokens, D)
+
+
+class TestRowBuffer:
+    def test_extend_copies_and_views_survive_growth(self):
+        buf = _RowBuffer(3)
+        rows = np.arange(6.0).reshape(2, 3)
+        buf.extend(rows)
+        first = buf.view()
+        rows[:] = -1.0
+        for i in range(20):  # several capacity doublings
+            buf.extend(np.full((1, 3), float(i)))
+        assert len(buf) == 22
+        np.testing.assert_array_equal(first, np.arange(6.0).reshape(2, 3))
+        np.testing.assert_array_equal(buf.view()[:2], first)
+        np.testing.assert_array_equal(buf.view()[2:, 0], np.arange(20.0))
+
+
+_CACHES_D64_PI16 = {
+    "fp16": lambda: Fp16KVCache(64),
+    "dequant": lambda: DequantizingKVCache(64, partition_size=16, rng=make_rng(0)),
+    "hack": lambda: HackKVCache(64, partition_size=16, rng=make_rng(0)),
+    "hack_norqe": lambda: HackKVCache(64, partition_size=16, enable_rqe=False,
+                                      rng=make_rng(0)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_CACHES_D64_PI16))
+def test_cache_does_not_alias_appended_arrays(kind):
+    """Zeroing the caller's arrays after append/append_bulk changes nothing."""
+    make = _CACHES_D64_PI16[kind]
+    k, v = _kv(40, seed=40, d=64)  # two full V blocks and a partial one
+    k1, v1 = _kv(1, seed=41, d=64)
+    q = make_rng(42).normal(size=64)
+    pristine, mutated = make(), make()
+    pristine.append_bulk(k.copy(), v.copy())
+    pristine.append(k1[0].copy(), v1[0].copy())
+    mutated.append_bulk(k, v)
+    mutated.append(k1[0], v1[0])
+    for arr in (k, v, k1, v1):
+        arr[...] = 0.0
+    np.testing.assert_array_equal(mutated.attention(q), pristine.attention(q))
+
+
+def _attention_from_materialize(cache, q):
+    """HACK attention recomputed from ``materialize()``.
+
+    Q and P are quantized with a copy of the cache's generator, so they
+    draw what the cache draws; Eq. 4 then equals plain FP matmuls on the
+    dequantized operands.
+    """
+    rng = copy.deepcopy(cache._rng)
+    k_hat, v_hat = cache.materialize()
+    n_q = len(cache) - len(cache._v_tail_fp)
+    q_q = quantize(q[None, :], cache.q_bits, 1, cache.partition_size, rng=rng)
+    probs = softmax(dequantize(q_q) @ k_hat.T / np.sqrt(cache.head_dim), axis=-1)
+    p_q = quantize(probs[:, :n_q], cache.p_bits, 1, cache.partition_size, rng=rng)
+    return (dequantize(p_q) @ v_hat[:n_q] + probs[:, n_q:] @ v_hat[n_q:])[0]
+
+
+@pytest.mark.parametrize("d,pi", [(64, 16), (48, 32), (64, 128)])
+@pytest.mark.parametrize("enable_rqe", [True, False])
+def test_attention_matches_materialize_reference(d, pi, enable_rqe):
+    cache = HackKVCache(d, partition_size=pi, enable_rqe=enable_rqe,
+                        rng=make_rng(1))
+    k, v = _kv(pi + 5, seed=43, d=d)
+    cache.append_bulk(k, v)
+    rng = make_rng(44)
+    for _ in range(3):
+        q = rng.normal(size=d)
+        want = _attention_from_materialize(cache, q)
+        np.testing.assert_allclose(cache.attention(q), want,
+                                   rtol=1e-9, atol=1e-12)
+        cache.append(rng.normal(size=d), rng.normal(size=d))
+
+
+def test_partition_wider_than_head_dim_is_kept():
+    """Π=128 over d=64 is not clamped: K rows are one ragged partition and
+    V still flushes after 128 tokens."""
+    cache = HackKVCache(64, partition_size=128, rng=make_rng(2))
+    k, v = _kv(127, seed=45, d=64)
+    cache.append_bulk(k, v)
+    assert cache.partition_size == 128
+    assert not cache._v_blocks and len(cache._v_tail_fp) == 127
+    assert cache._k_transposed().mins.shape == (1, 127)
+    k1, v1 = _kv(1, seed=46, d=64)
+    cache.append(k1[0], v1[0])
+    assert len(cache._v_blocks) == 1 and len(cache._v_tail_fp) == 0
+    assert cache._v_blocks[0].codes.shape == (128, 64)
+
+
+@pytest.mark.parametrize("enable_rqe", [True, False])
+@pytest.mark.parametrize("enable_se", [True, False])
+def test_decode_operands_equal_stacked_quantizations(monkeypatch, enable_rqe,
+                                                     enable_se):
+    """Across several buffer growths, the Eq. 4 operands a decode step
+    reads equal the per-token K and per-block V quantizations stacked
+    afresh."""
+    real_quantize = kv_cache_module.quantize
+    made = []
+
+    def recording(x, bits, axis, partition_size, **kwargs):
+        qt = real_quantize(x, bits, axis, partition_size, **kwargs)
+        made.append((bits, axis, qt))
+        return qt
+
+    monkeypatch.setattr(kv_cache_module, "quantize", recording)
+    cache = HackKVCache(D, partition_size=PI, enable_rqe=enable_rqe,
+                        enable_se=enable_se, rng=make_rng(3))
+    cache.append_bulk(*_kv(5, seed=47))
+    rng = make_rng(48)
+    capacities = set()
+    for _ in range(6 * PI):
+        cache.append(rng.normal(size=D), rng.normal(size=D))
+        cache.attention(rng.normal(size=D))
+        capacities.add(cache._k.codes._data.shape[0])
+
+        k_parts = [qt for bits, axis, qt in made if bits == 2 and axis == 1]
+        kt = cache._k_transposed()
+        for name in ("codes", "mins", "scales"):
+            stacked = np.concatenate([getattr(qt, name) for qt in k_parts])
+            np.testing.assert_array_equal(getattr(kt, name), stacked.T)
+        if enable_se:
+            stacked = np.concatenate([qt.partition_sums() for qt in k_parts])
+            np.testing.assert_array_equal(kt._sums, stacked.T)
+        else:
+            assert kt._sums is None
+
+        v_parts = [qt for bits, axis, qt in made
+                   if bits == 2 and axis == 0 and qt.codes.shape[0] == PI]
+        if cache._v_tail_q is not None:
+            v_parts.append(cache._v_tail_q)
+        if v_parts:
+            vq = cache._v_quantized()
+            for name in ("codes", "mins", "scales"):
+                stacked = np.concatenate([getattr(qt, name) for qt in v_parts])
+                np.testing.assert_array_equal(getattr(vq, name), stacked)
+    assert len(capacities) >= 3
