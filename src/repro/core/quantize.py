@@ -196,6 +196,8 @@ def quantize(
         raise ValueError(f"bits must be in [1, 8], got {bits}")
     if rounding not in ("stochastic", "nearest"):
         raise ValueError(f"unknown rounding mode {rounding!r}")
+    if x.shape[axis] == 0:
+        raise ValueError(f"quantize needs a non-empty axis {axis}, got shape {x.shape}")
 
     bounds = partition_bounds(x.shape[axis], partition_size)
     levels = (1 << bits) - 1

@@ -186,6 +186,13 @@ class TestQuantizeValidation:
             quantize(np.zeros((4, 4)), 2, axis=1, partition_size=4,
                      rounding="banker")
 
+    def test_rejects_empty_partitioned_axis(self):
+        for shape, axis in (((3, 0), 1), ((0, 3), 0)):
+            with pytest.raises(ValueError):
+                quantize(np.zeros(shape), 2, axis=axis, partition_size=4)
+        # The other axis may be empty.
+        assert quantize(np.zeros((0, 3)), 2, axis=1, partition_size=4).codes.shape == (0, 3)
+
 
 class TestPartitionSums:
     def test_sums_match_recompute(self):
