@@ -9,7 +9,7 @@ same single-shot trace — every lookup misses, so the tokens/s delta is
 the store's pure bookkeeping overhead on the hot path.  A third
 measurement times a full ``repro lint`` pass over the tree — the
 invariant gate runs on every CI push, so its wall-clock (and that it
-still reports zero non-baselined findings) is part of the record.
+still reports zero findings) is part of the record.
 
 Faults and elastic scaling are not timed here: left unconfigured or
 armed but idle, they run the same engine path as a plain run, so there
@@ -116,9 +116,8 @@ def _lint_runtime() -> dict:
     """One full ``repro lint`` pass, timed.
 
     The invariant gate runs on every push, so its cost rides along in
-    the benchmark record; a clean tree must report zero non-baselined
-    findings, and that is asserted here like the equivalence checks
-    above.
+    the benchmark record; a clean tree must report zero findings, and
+    that is asserted here like the equivalence checks above.
     """
     from time import perf_counter
 
@@ -129,14 +128,13 @@ def _lint_runtime() -> dict:
     wall = perf_counter() - start
     if not result.ok:
         raise AssertionError(
-            "repro lint found non-baselined findings:\n"
+            "repro lint found findings:\n"
             + "\n".join(f.render() for f in result.findings))
     return {
         "wall_s": wall,
         "n_files": result.n_files,
         "files_per_s": result.n_files / wall if wall > 0 else 0.0,
         "new_findings": len(result.findings),
-        "baselined": len(result.baselined),
         "suppressed": len(result.suppressed),
     }
 

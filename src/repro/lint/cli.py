@@ -2,31 +2,47 @@
 
 ::
 
-    python -m repro.lint.cli                  # lint the repo, gate on
-                                              # lint_baseline.json
-    python -m repro.lint.cli --json           # machine-readable report
-    python -m repro.lint.cli --baseline-update   # re-ratchet
+    python -m repro.lint.cli                     # lint the repo
+    python -m repro.lint.cli --json              # machine-readable report
     python -m repro.lint.cli --schema-pin-update # after a schema bump
-    python -m repro.lint.cli path/to/file.py --no-baseline
+    python -m repro.lint.cli path/to/file.py     # lint only these files
     python -m repro.lint.cli --list-rules
 
-Exit status 1 means new (non-baselined, non-suppressed) findings.
-The same flags hang off the main CLI as ``hack-repro lint``.
+Exit status 1 means at least one finding no pragma suppressed.  The
+same flags hang off the main CLI as ``hack-repro lint``.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from pathlib import Path
 
-from .baseline import BASELINE_NAME, write_baseline
-from .core import ProjectContext, lint_rules
-from .report import render_json, render_text
-from .runner import discover_root, run_lint
+from .core import ProjectContext
+from .rules import RULES
 from .rules.schema import write_pin
+from .runner import LintResult, collect_files, discover_root, run_lint
 
-__all__ = ["main", "add_lint_arguments", "run_from_args"]
+__all__ = ["main", "add_lint_arguments", "run_from_args", "render_text",
+           "render_json"]
+
+
+def render_text(result: LintResult) -> str:
+    """Human-readable report: one ``path:line: CODE message`` per
+    finding, then the counts line the CI log greps for."""
+    lines = [f.render() for f in result.findings]
+    lines.append(
+        f"repro lint: {len(result.findings)} finding"
+        f"{'s' if len(result.findings) != 1 else ''} "
+        f"({len(result.suppressed)} pragma-suppressed, "
+        f"{result.n_files} files)")
+    return "\n".join(lines)
+
+
+def render_json(result: LintResult) -> str:
+    """Machine-readable report (``repro lint --json``)."""
+    return json.dumps(result.to_dict(), indent=1, sort_keys=True)
 
 
 def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
@@ -39,65 +55,31 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
                              "and examples/")
     parser.add_argument("--json", action="store_true",
                         help="emit the machine-readable report")
-    parser.add_argument("--baseline", type=Path, default=None,
-                        metavar="PATH",
-                        help=f"baseline file (default <repo>/"
-                             f"{BASELINE_NAME})")
-    parser.add_argument("--no-baseline", action="store_true",
-                        help="ignore the baseline: report every finding")
-    parser.add_argument("--baseline-update", action="store_true",
-                        help="rewrite the baseline from the current "
-                             "findings (ratchet, don't suppress)")
     parser.add_argument("--schema-pin-update", action="store_true",
                         help="refresh the REPRO501 schema pin after a "
                              "SCHEMA_VERSION bump")
-    parser.add_argument("--select", default=None, metavar="CODES",
-                        help="comma-separated rule-code prefixes to "
-                             "run, e.g. REPRO1,REPRO604")
-    parser.add_argument("--verbose", action="store_true",
-                        help="also print baselined and suppressed "
-                             "findings")
     parser.add_argument("--list-rules", action="store_true",
-                        help="list the registered rules and exit")
+                        help="list the rules and exit")
 
 
 def run_from_args(args) -> int:
     if args.list_rules:
-        for code, rule in sorted(lint_rules().items()):
+        for rule in RULES:
             scope = ", ".join(rule.scope) if rule.scope else (
                 "project-wide" if rule.project_rule else "all files")
-            print(f"{code} {rule.name:32s} [{scope}]")
+            print(f"{rule.code} {rule.name:32s} [{scope}]")
             print(f"    {rule.description}")
         return 0
 
     root = discover_root()
     if args.schema_pin_update:
-        pin = write_pin(ProjectContext(root, []))
+        pin = write_pin(ProjectContext(root, collect_files(root)))
         print(f"schema pin refreshed for schema_version "
               f"{pin['schema_version']}", file=sys.stderr)
-        if not args.baseline_update:
-            return 0
-
-    select = tuple(s.strip() for s in args.select.split(",")
-                   if s.strip()) if args.select else ()
-    result = run_lint(
-        root,
-        paths=args.paths or None,
-        baseline_path=args.baseline,
-        use_baseline=not (args.no_baseline or args.baseline_update),
-        select=select,
-    )
-
-    if args.baseline_update:
-        path = args.baseline or result.root / BASELINE_NAME
-        write_baseline(path, result.findings)
-        print(f"baseline updated: {len(result.findings)} finding"
-              f"{'s' if len(result.findings) != 1 else ''} -> {path}",
-              file=sys.stderr)
         return 0
 
-    print(render_json(result) if args.json
-          else render_text(result, verbose=args.verbose))
+    result = run_lint(root, paths=args.paths or None)
+    print(render_json(result) if args.json else render_text(result))
     return 0 if result.ok else 1
 
 
@@ -105,7 +87,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro-lint",
         description="AST-based invariant checker: determinism, "
-                    "registry hygiene, schema discipline.")
+                    "spec hygiene, schema discipline, float safety.")
     add_lint_arguments(parser)
     return run_from_args(parser.parse_args(argv))
 

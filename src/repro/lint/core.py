@@ -1,12 +1,12 @@
 """Core of ``repro lint``: findings, rules, pragmas and file contexts.
 
-The linter enforces the repo's three unwritten laws — bit-level
-determinism, open-registry hygiene and schema discipline — as
-machine-checked rules.  A rule is a class registered with
-:func:`register_rule` (the same open-registry idiom the rules police);
-it inspects one file's AST (:meth:`Rule.check_file`) or the whole tree
-at once (:meth:`Rule.check_project`, for cross-file invariants like
-the grammar round-trip) and yields :class:`Finding` objects.
+The linter enforces the repo's conventions that no other check covers
+— bit-level determinism, frozen specs, schema discipline and float
+safety — as machine-checked rules.  A rule is a :class:`Rule` instance
+listed in :data:`repro.lint.rules.RULES`; it inspects one file's AST
+(:meth:`Rule.check_file`) or the whole tree at once
+(:meth:`Rule.check_project`, for cross-file invariants like the schema
+pin) and yields :class:`Finding` objects.
 
 Suppression is explicit and auditable: a ``# repro: lint-ignore[CODE]``
 comment on the offending line (or on its own line directly above)
@@ -27,9 +27,6 @@ __all__ = [
     "Rule",
     "FileContext",
     "ProjectContext",
-    "register_rule",
-    "lint_rules",
-    "get_rule",
     "PRAGMA_RE",
 ]
 
@@ -50,11 +47,6 @@ class Finding:
     message: str
     rule: str = ""  #: rule name slug, e.g. ``unseeded-module-rng``
 
-    def signature(self) -> tuple[str, str, str]:
-        """Baseline identity: line numbers drift as files are edited,
-        so grandfathered findings match on (code, path, message)."""
-        return (self.code, self.path, self.message)
-
     def to_dict(self) -> dict:
         return {"path": self.path, "line": self.line, "code": self.code,
                 "message": self.message, "rule": self.rule}
@@ -66,8 +58,8 @@ class Finding:
 class FileContext:
     """One parsed source file, with its pragma map.
 
-    ``relpath`` is the repo-root-relative posix path the scoping and
-    baseline machinery key on; tests may pass a synthetic one to lint a
+    ``relpath`` is the repo-root-relative posix path rule scopes and
+    pragmas key on; tests may pass a synthetic one to lint a
     fixture *as if* it lived elsewhere (e.g. under ``src/repro/sim/``).
     """
 
@@ -141,17 +133,13 @@ class ProjectContext:
         self._by_path = {ctx.relpath: ctx for ctx in files}
 
     def get(self, relpath: str) -> FileContext | None:
-        """The walked file at ``relpath``, loading it on demand when
-        the walk was restricted to an explicit path list."""
-        ctx = self._by_path.get(relpath)
-        if ctx is None and (self.root / relpath).is_file():
-            ctx = FileContext.read(self.root / relpath, relpath)
-            self._by_path[relpath] = ctx
-        return ctx
+        """The walked file at ``relpath``, or None."""
+        return self._by_path.get(relpath)
 
 
 class Rule:
-    """Base class for lint rules (subclass + :func:`register_rule`).
+    """Base class for lint rules (subclass, then add an instance to
+    :data:`repro.lint.rules.RULES`).
 
     File rules implement :meth:`check_file`; project rules set
     ``project_rule = True`` and implement :meth:`check_project` (run
@@ -176,46 +164,3 @@ class Rule:
 
     def check_project(self, project: ProjectContext):
         return ()
-
-
-_RULES: dict[str, Rule] = {}
-
-
-def register_rule(cls=None, *, replace: bool = False):
-    """Class decorator registering a :class:`Rule` (open registry —
-    project-local rules can be added the same way, exactly like
-    ``@register_family`` and friends)."""
-
-    def decorator(obj):
-        rule = obj() if isinstance(obj, type) else obj
-        if not _CODE_RE.match(rule.code or ""):
-            raise ValueError(
-                f"rule code {rule.code!r} must match {_CODE_RE.pattern}")
-        if rule.code in _RULES and not replace:
-            raise ValueError(
-                f"lint rule {rule.code!r} is already registered; pass "
-                "register_rule(replace=True) to override")
-        taken = {r.name for c, r in _RULES.items() if c != rule.code}
-        if rule.name in taken:
-            raise ValueError(
-                f"lint rule name {rule.name!r} is already registered")
-        _RULES[rule.code] = rule
-        return obj
-
-    if cls is not None:
-        return decorator(cls)
-    return decorator
-
-
-def lint_rules() -> dict[str, Rule]:
-    """All registered rules by code (a copy; registration order)."""
-    return dict(_RULES)
-
-
-def get_rule(code: str) -> Rule:
-    try:
-        return _RULES[code]
-    except KeyError:
-        raise ValueError(
-            f"unknown lint rule {code!r}; choose from "
-            f"{', '.join(sorted(_RULES))}") from None

@@ -1,4 +1,4 @@
-"""Built-in rule families.  Importing this package registers them all.
+"""The built-in rules, as one ``RULES`` tuple the runner iterates.
 
 =========  ===============================  =============================
 code       rule                             family
@@ -7,20 +7,33 @@ REPRO101   unseeded-module-rng              determinism
 REPRO102   wall-clock-read                  determinism
 REPRO103   set-iteration-order              determinism
 REPRO201   spec-must-freeze                 spec hygiene
-REPRO202   duplicate-registration           spec hygiene
-REPRO301   grammar-round-trip               grammar round-trip
-REPRO302   cross-role-uniqueness            grammar round-trip
 REPRO501   schema-discipline                schema discipline
 REPRO601   mutable-default-argument         general safety
 REPRO602   float-equality-sim               general safety
-REPRO603   bare-except                      general safety
 REPRO604   tolerance-free-float-assert      general safety
 REPRO700   unused-pragma                    (emitted by the runner)
 REPRO900   parse-error                      (emitted by the runner)
 =========  ===============================  =============================
+
+A new rule is a :class:`~repro.lint.core.Rule` subclass plus one
+instance appended here.
 """
 
-from . import determinism, roundtrip, safety, schema, \
-    spec_hygiene  # noqa: F401
+from .determinism import SetIterationRule, UnseededRngRule, WallClockRule
+from .safety import FloatAssertTestRule, FloatEqualitySimRule, \
+    MutableDefaultRule
+from .schema import SchemaPinRule
+from .spec_hygiene import FrozenSpecRule
 
-__all__ = ["determinism", "roundtrip", "safety", "schema", "spec_hygiene"]
+__all__ = ["RULES"]
+
+RULES = (
+    UnseededRngRule(),
+    WallClockRule(),
+    SetIterationRule(),
+    FrozenSpecRule(),
+    SchemaPinRule(),
+    MutableDefaultRule(),
+    FloatEqualitySimRule(),
+    FloatAssertTestRule(),
+)

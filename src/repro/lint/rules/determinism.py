@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import ast
 
-from ..core import FileContext, Rule, register_rule
+from ..core import FileContext, Rule
 
 __all__ = ["UnseededRngRule", "WallClockRule", "SetIterationRule"]
 
@@ -92,7 +92,6 @@ def _resolve_call(func: ast.expr, bound: dict[str, str]) -> str | None:
     return ".".join([head, *parts[1:]])
 
 
-@register_rule
 class UnseededRngRule(Rule):
     code = "REPRO101"
     name = "unseeded-module-rng"
@@ -127,7 +126,6 @@ class UnseededRngRule(Rule):
                     "draw from a seeded random.Random(seed)")
 
 
-@register_rule
 class WallClockRule(Rule):
     code = "REPRO102"
     name = "wall-clock-read"
@@ -164,7 +162,6 @@ def _is_set_expr(node: ast.expr) -> bool:
         and node.func.id in ("set", "frozenset")
 
 
-@register_rule
 class SetIterationRule(Rule):
     code = "REPRO103"
     name = "set-iteration-order"

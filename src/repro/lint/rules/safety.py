@@ -1,16 +1,16 @@
 """General-safety rules: the slow-burn bug classes review keeps missing.
 
-Mutable default arguments alias state across calls (REPRO601); a bare
-``except:`` swallows KeyboardInterrupt and SystemExit along with the
-bug it was papering over (REPRO603).  The two float rules are scoped
-and deliberately narrow: they flag equality against a float literal
-only when the decimal text is *not exactly representable* in binary
-(``x == 0.3`` can only pass by double-rounding coincidence), while the
-repo's intentional bit-exact comparisons — ``span == token`` results,
-dyadic constants like ``0.5`` or ``1.0`` — stay legal.  REPRO602
-covers engine/perf-model code, REPRO604 covers assertions under
-``tests/`` (use ``pytest.approx`` / ``math.isclose``, or a pragma for
-a genuinely bit-exact check).
+Mutable default arguments alias state across calls (REPRO601; ruff's
+B006 is not selected by the repo's ruff gate).  Bare ``except:`` is
+ruff's E722, which that gate does select, so it has no rule here.  The
+two float rules are scoped and deliberately narrow: they flag equality
+against a float literal only when the decimal text is *not exactly
+representable* in binary (``x == 0.3`` can only pass by double-rounding
+coincidence), while the repo's intentional bit-exact comparisons —
+``span == token`` results, dyadic constants like ``0.5`` or ``1.0`` —
+stay legal.  REPRO602 covers engine/perf-model code, REPRO604 covers
+assertions under ``tests/`` (use ``pytest.approx`` / ``math.isclose``,
+or a pragma for a genuinely bit-exact check).
 """
 
 from __future__ import annotations
@@ -19,9 +19,9 @@ import ast
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 
-from ..core import FileContext, Rule, register_rule
+from ..core import FileContext, Rule
 
-__all__ = ["MutableDefaultRule", "FloatEqualitySimRule", "BareExceptRule",
+__all__ = ["MutableDefaultRule", "FloatEqualitySimRule",
            "FloatAssertTestRule", "is_exact_float_literal"]
 
 
@@ -60,7 +60,6 @@ def _inexact_float_operands(ctx: FileContext, compare: ast.Compare):
             yield operand, text
 
 
-@register_rule
 class MutableDefaultRule(Rule):
     code = "REPRO601"
     name = "mutable-default-argument"
@@ -94,7 +93,6 @@ class MutableDefaultRule(Rule):
                         "build inside the function")
 
 
-@register_rule
 class FloatEqualitySimRule(Rule):
     code = "REPRO602"
     name = "float-equality-sim"
@@ -117,26 +115,6 @@ class FloatEqualitySimRule(Rule):
                     "tolerance or a dyadic constant")
 
 
-@register_rule
-class BareExceptRule(Rule):
-    code = "REPRO603"
-    name = "bare-except"
-    description = (
-        "a bare `except:` swallows KeyboardInterrupt/SystemExit; "
-        "catch Exception or the specific error")
-
-    def check_file(self, ctx: FileContext):
-        if ctx.tree is None:
-            return
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.ExceptHandler) and node.type is None:
-                yield ctx.finding(
-                    self, node,
-                    "bare `except:`; name the exception type (at "
-                    "broadest, `except Exception`)")
-
-
-@register_rule
 class FloatAssertTestRule(Rule):
     code = "REPRO604"
     name = "tolerance-free-float-assert"

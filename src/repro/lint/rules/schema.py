@@ -23,7 +23,7 @@ import ast
 import json
 from pathlib import Path
 
-from ..core import FileContext, ProjectContext, Rule, register_rule
+from ..core import FileContext, ProjectContext, Rule
 
 __all__ = ["SchemaPinRule", "extract_schema", "PIN_PATH"]
 
@@ -138,7 +138,6 @@ def _diff(kind: str, pinned: list, current: list) -> str | None:
     return f"{kind}: {'; '.join(parts)}"
 
 
-@register_rule
 class SchemaPinRule(Rule):
     code = "REPRO501"
     name = "schema-discipline"

@@ -1,13 +1,13 @@
-"""Walking, rule dispatch, pragma suppression and the baseline gate.
+"""Walking, rule dispatch and pragma suppression.
 
 :func:`run_lint` is the one entry point the CLI, the CI gate, the
 benchmark and the meta-test all share: collect files, run every file
-rule in scope plus the project rules, drop pragma-suppressed findings
-(flagging pragmas that suppressed nothing), then split what remains
-against the committed baseline.  Explicit ``paths`` restrict the walk
-to those files and skip project rules — that mode lints *files*, not
-the repository invariants around them (it is what the CI fixture-smoke
-uses to prove the gate can fail).
+rule in scope plus the project rules, then drop pragma-suppressed
+findings (flagging pragmas that suppressed nothing).  The gate fails on
+any finding left.  Explicit ``paths`` restrict the walk to those files
+and skip project rules — that mode lints *files*, not the repository
+invariants around them (it is what the CI fixture-smoke uses to prove
+the gate can fail).
 """
 
 from __future__ import annotations
@@ -15,9 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .baseline import BASELINE_NAME, load_baseline, split_baselined
-from .core import FileContext, Finding, ProjectContext, lint_rules
-from . import rules as _rules  # noqa: F401  (registers the built-ins)
+from .core import FileContext, Finding, ProjectContext
+from .rules import RULES
 
 __all__ = ["run_lint", "collect_files", "discover_root", "LintResult",
            "DEFAULT_ROOTS", "EXCLUDED_PREFIXES"]
@@ -36,14 +35,10 @@ class LintResult:
 
     root: Path
     n_files: int
-    #: Findings not absorbed by the baseline — the gate fails on these.
+    #: Findings no pragma silenced — the gate fails on these.
     findings: list[Finding] = field(default_factory=list)
-    #: Findings the committed baseline grandfathers.
-    baselined: list[Finding] = field(default_factory=list)
     #: Findings silenced by a ``lint-ignore`` pragma.
     suppressed: list[Finding] = field(default_factory=list)
-    #: Baseline entries that matched nothing (ratchet candidates).
-    stale_baseline: list[Finding] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -54,14 +49,10 @@ class LintResult:
             "ok": self.ok,
             "n_files": self.n_files,
             "counts": {
-                "new": len(self.findings),
-                "baselined": len(self.baselined),
+                "findings": len(self.findings),
                 "suppressed": len(self.suppressed),
-                "stale_baseline": len(self.stale_baseline),
             },
             "findings": [f.to_dict() for f in self.findings],
-            "baselined": [f.to_dict() for f in self.baselined],
-            "stale_baseline": [f.to_dict() for f in self.stale_baseline],
         }
 
 
@@ -119,45 +110,27 @@ def _syntax_findings(ctx: FileContext) -> list[Finding]:
 
 
 def run_lint(root: Path | None = None, *,
-             paths: list[Path] | None = None,
-             baseline_path: Path | None = None,
-             use_baseline: bool = True,
-             select: tuple[str, ...] = ()) -> LintResult:
-    """Lint the repo (or ``paths``) and gate against the baseline.
-
-    ``select`` restricts to rule codes with any of the given prefixes
-    (e.g. ``("REPRO1", "REPRO604")``); project rules only run on
-    whole-repo walks.
-    """
+             paths: list[Path] | None = None) -> LintResult:
+    """Lint the repo (or only ``paths``; project rules then skip)."""
     root = discover_root(root)
     files = collect_files(root, paths)
     project = ProjectContext(root, files)
-    active = [rule for rule in lint_rules().values()
-              if not select or rule.code.startswith(tuple(select))]
 
     raw: list[Finding] = []
     for ctx in files:
         raw.extend(_syntax_findings(ctx))
-        for rule in active:
+        for rule in RULES:
             if not rule.project_rule and rule.applies(ctx.relpath):
                 raw.extend(rule.check_file(ctx))
     if paths is None:
-        for rule in active:
+        for rule in RULES:
             if rule.project_rule:
                 raw.extend(rule.check_project(project))
 
     kept, suppressed = _apply_pragmas(project, raw)
-    kept.extend(_unused_pragmas(project, files, suppressed,
-                                select=select))
-
-    baseline: list[Finding] = []
-    if use_baseline:
-        baseline = load_baseline(
-            baseline_path or root / BASELINE_NAME)
-    new, baselined, stale = split_baselined(kept, baseline)
-    return LintResult(root=root, n_files=len(files), findings=new,
-                      baselined=baselined, suppressed=sorted(suppressed),
-                      stale_baseline=stale)
+    kept.extend(_unused_pragmas(files, suppressed))
+    return LintResult(root=root, n_files=len(files), findings=sorted(kept),
+                      suppressed=sorted(suppressed))
 
 
 def _apply_pragmas(project: ProjectContext, raw: list[Finding]):
@@ -172,15 +145,10 @@ def _apply_pragmas(project: ProjectContext, raw: list[Finding]):
     return kept, suppressed
 
 
-def _unused_pragmas(project: ProjectContext, files: list[FileContext],
-                    suppressed: list[Finding],
-                    select: tuple[str, ...] = ()) -> list[Finding]:
+def _unused_pragmas(files: list[FileContext],
+                    suppressed: list[Finding]) -> list[Finding]:
     """A ``lint-ignore`` that suppressed nothing is itself a finding —
-    stale ignores would otherwise silently pile up.  Skipped under
-    ``--select`` (most rules did not run, so "unused" is meaningless).
-    """
-    if select:
-        return []
+    stale ignores would otherwise silently pile up."""
     used = {(f.path, f.line, f.code) for f in suppressed}
     out: list[Finding] = []
     for ctx in files:

@@ -235,9 +235,17 @@ def register_legacy_alias(alias: str, spec: MethodSpec, *,
                           name: str | None = None,
                           display_name: str | None = None) -> None:
     """Map a historical registry name to a spec (plus cosmetic
-    ``name``/``display_name`` overrides applied to the built Method)."""
+    ``name``/``display_name`` overrides applied to the built Method).
+
+    Aliases resolve before families in :meth:`MethodSpec.parse`, so an
+    alias naming a different registered family would make that family
+    unreachable by its own name; that raises."""
     if alias in LEGACY:
         raise ValueError(f"legacy method name {alias!r} already registered")
+    if alias in FAMILIES.entries and spec.kind != alias:
+        raise ValueError(
+            f"legacy method name {alias!r} (-> family {spec.kind!r}) "
+            f"would shadow the registered method family {alias!r}")
     overrides = {k: v for k, v in
                  (("name", name), ("display_name", display_name))
                  if v is not None}

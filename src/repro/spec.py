@@ -24,8 +24,8 @@ declared:
 * :func:`roles` — the role table wiring each registry to its Scenario
   field, its ``repro list`` heading and its ``list --json`` key.
   ``Scenario`` canonicalisation, CLI axis splitting, ``repro list``
-  and the grammar lint rules all iterate this table, so a new role is
-  one entry here (plus its Scenario field).
+  and the grammar property tests all iterate this table, so a new role
+  is one entry here (plus its Scenario field).
 
 Specs keep only the parameters given explicitly (family defaults fill
 the rest at build time), normalised to long names, coerced and sorted,
@@ -506,7 +506,7 @@ def all_known(text: str, *registries: Registry) -> bool:
 class Role:
     """One row of the role table (see :func:`roles`)."""
 
-    #: Short role name (lint messages, test ids).
+    #: Short role name (test ids).
     name: str
     #: The Scenario field whose value this role's registry names; pair
     #: grammars give two roles one field.

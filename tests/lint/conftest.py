@@ -6,8 +6,6 @@ are exercised by re-homing a fixture's source under a synthetic
 relpath (e.g. ``src/repro/sim/…``) via :class:`FileContext`.
 """
 
-import importlib.util
-import sys
 from pathlib import Path
 
 import pytest
@@ -50,23 +48,3 @@ def mini_project():
         return ProjectContext(root, collect_files(root))
 
     return make
-
-
-@pytest.fixture
-def load_fixture_module():
-    """Import a fixture .py file as a uniquely-named module (for the
-    round-trip rule, whose table names importable modules)."""
-    loaded = []
-
-    def load(name, modname):
-        spec = importlib.util.spec_from_file_location(
-            modname, FIXTURES / name)
-        module = importlib.util.module_from_spec(spec)
-        sys.modules[modname] = module
-        loaded.append(modname)
-        spec.loader.exec_module(module)
-        return module
-
-    yield load
-    for modname in loaded:
-        sys.modules.pop(modname, None)

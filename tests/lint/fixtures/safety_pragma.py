@@ -12,14 +12,6 @@ def enqueue(item, queue=[]):
     return queue
 
 
-def parse(raw):
-    try:
-        return float(raw)
-    # repro: lint-ignore[REPRO603] fixture: swallow everything
-    except:
-        return None
-
-
 def check(result):
     # repro: lint-ignore[REPRO604] literal stored and read back verbatim
     assert result == 1e-9

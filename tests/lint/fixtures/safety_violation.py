@@ -1,6 +1,6 @@
-"""Violates the safety rules (REPRO601/602/603/604).
+"""Violates the safety rules (REPRO601/602/604).
 
-REPRO601/603 are unscoped and fire at any relpath, so this file also
+REPRO601 is unscoped and fires at any relpath, so this file also
 serves as the CI fixture-smoke target (linted by explicit path, which
 bypasses the fixture exclusion).  REPRO602/604 need synthetic relpaths
 (``src/repro/sim/...`` / ``tests/...``) supplied by the tests.
@@ -18,13 +18,6 @@ def tally(counts={}):                    # REPRO601: mutable default
 
 def close_enough(a):
     return a == 0.3                      # REPRO602 (under src/repro/sim/)
-
-
-def parse(raw):
-    try:
-        return float(raw)
-    except:                              # REPRO603: bare except
-        return None
 
 
 def check(result):

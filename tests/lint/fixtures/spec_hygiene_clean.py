@@ -1,12 +1,6 @@
-"""Spec-hygiene rules satisfied: frozen specs, unique registrations."""
+"""Spec-hygiene rule satisfied: frozen specs."""
 
 from dataclasses import dataclass
-
-
-def register_family(name):
-    def wrap(cls):
-        return cls
-    return wrap
 
 
 @dataclass(frozen=True)
@@ -16,14 +10,4 @@ class TidySpec:
 
 # Not a dataclass at all: the *Spec naming rule only covers dataclasses.
 class PlainSpec:
-    pass
-
-
-@register_family("alpha")
-class AlphaMethod:
-    pass
-
-
-@register_family("beta")
-class BetaMethod:
     pass

@@ -1,16 +1,9 @@
-"""Violates the spec-hygiene rules (REPRO201/202).
+"""Violates the spec-hygiene rule (REPRO201).
 
-Linted with a synthetic ``src/repro/...`` relpath; the registration
-decorators are local stand-ins so the file parses without the repo.
+Linted with a synthetic ``src/repro/...`` relpath.
 """
 
 from dataclasses import dataclass
-
-
-def register_family(name):
-    def wrap(cls):
-        return cls
-    return wrap
 
 
 @dataclass
@@ -21,13 +14,3 @@ class MutableSpec:                       # REPRO201: missing frozen=True
 @dataclass(frozen=False)
 class ThawedSpec:                        # REPRO201: frozen explicitly off
     bits: int = 4
-
-
-@register_family("dup")
-class FirstMethod:
-    pass
-
-
-@register_family("dup")                  # REPRO202: duplicate name
-class SecondMethod:
-    pass

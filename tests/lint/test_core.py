@@ -1,10 +1,6 @@
-"""Core framework: findings, pragmas, rule registration."""
+"""Core framework: findings and pragmas."""
 
-import pytest
-
-from repro.lint import core
-from repro.lint.core import (FileContext, Finding, Rule, get_rule,
-                             lint_rules, register_rule)
+from repro.lint.core import FileContext, Finding
 
 # Assembled so this test file's own source never contains a live
 # pragma (the scanner reads raw source lines).
@@ -23,9 +19,6 @@ class TestFinding:
         assert f.to_dict() == {"path": "src/x.py", "line": 3,
                                "code": "REPRO101", "message": "m",
                                "rule": "r"}
-
-    def test_signature_ignores_line(self):
-        assert _finding(line=3).signature() == _finding(line=9).signature()
 
     def test_sort_order_is_path_then_line(self):
         a = _finding(path="a.py", line=9)
@@ -67,51 +60,3 @@ class TestPragmas:
         ctx = FileContext("f.py", "def broken(:\n")
         assert ctx.tree is None
         assert ctx.syntax_error is not None
-
-
-class TestRegistry:
-    @pytest.fixture(autouse=True)
-    def _isolated_registry(self, monkeypatch):
-        monkeypatch.setattr(core, "_RULES", dict(core._RULES))
-
-    def test_register_and_lookup(self):
-        @register_rule
-        class ProbeRule(Rule):
-            code = "REPRO998"
-            name = "probe-rule"
-            scope = ("tests/lint/never/",)
-
-        assert get_rule("REPRO998").name == "probe-rule"
-        assert "REPRO998" in lint_rules()
-
-    def test_bad_code_rejected(self):
-        with pytest.raises(ValueError, match="must match"):
-            @register_rule
-            class BadCode(Rule):
-                code = "X1"
-                name = "bad-code"
-
-    def test_duplicate_code_rejected_then_replaceable(self):
-        with pytest.raises(ValueError, match="already registered"):
-            @register_rule
-            class Clash(Rule):
-                code = "REPRO101"
-                name = "clash"
-
-        @register_rule(replace=True)
-        class Override(Rule):
-            code = "REPRO101"
-            name = "override"
-
-        assert get_rule("REPRO101").name == "override"
-
-    def test_duplicate_name_rejected(self):
-        with pytest.raises(ValueError, match="name"):
-            @register_rule
-            class NameClash(Rule):
-                code = "REPRO997"
-                name = "unseeded-module-rng"
-
-    def test_unknown_code_lookup(self):
-        with pytest.raises(ValueError, match="unknown lint rule"):
-            get_rule("REPRO000")

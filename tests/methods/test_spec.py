@@ -220,6 +220,18 @@ class TestLegacyGolden:
         for name in legacy_names():
             assert canonical_method(name) == name
 
+    def test_alias_shadowing_another_family_rejected(self, monkeypatch):
+        """Aliases resolve before families, so an alias naming a
+        different family would hide that family; registering it
+        raises and leaves the alias table untouched."""
+        from repro.methods import spec as spec_module
+
+        monkeypatch.setattr(spec_module, "LEGACY", dict(spec_module.LEGACY))
+        with pytest.raises(ValueError, match="would shadow"):
+            spec_module.register_legacy_alias("fp", MethodSpec.of("hack"))
+        assert "fp" not in spec_module.LEGACY
+        assert parse_method("fp").kind == "fp"
+
     def test_grammar_spec_equals_legacy_values(self):
         assert resolve_method("hack?pi=128") == get_method("hack_pi128")
         assert resolve_method("fp?bits=6") == get_method("fp6")

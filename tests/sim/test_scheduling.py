@@ -182,6 +182,20 @@ class TestPolicyGrammar:
         with pytest.raises(ValueError, match="dispatch slot"):
             SchedulerSpec(dispatch=PolicySpec("placement", "best_fit"))
 
+    def test_name_taken_by_the_other_role_rejected(self):
+        """Dispatch and placement share one namespace, so a bare name
+        in the pair grammar always resolves to one role."""
+        from repro.sim.scheduling import (DecodePlacementPolicy,
+                                          register_policy)
+
+        class RoundRobinPlacement(DecodePlacementPolicy):
+            name = "round_robin"
+
+        with pytest.raises(ValueError, match="already registered"):
+            register_policy(RoundRobinPlacement)
+        assert parse_scheduler("round_robin").dispatch.kind == \
+            "round_robin"
+
     def test_split_scheduler_list(self):
         assert split_scheduler_list(
             "splitwise,random?seed=3+no_swap,least_work"

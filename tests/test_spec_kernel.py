@@ -1,8 +1,9 @@
 """Property tests of the spec-grammar kernel over the live role table.
 
-For every role and every registered family, explicit parameter subsets
-drawn from the family's defaults and choices (plus nearby numbers and
-flipped booleans; draws ``validate`` rejects are skipped) must satisfy
+For every role and every registered family, the bare name, the full
+default signature and explicit parameter subsets drawn from the
+family's defaults and choices (plus nearby numbers and flipped
+booleans; draws ``validate`` rejects are skipped) must satisfy
 ``parse(canonical(s)) == s`` with an idempotent canonical form, and a
 comma-joined list of canonical strings — ``+``-joined pairs, plans and
 method sets included — must split back into the same list.
@@ -21,6 +22,11 @@ SETTINGS = settings(max_examples=25, deadline=None,
 
 CASES = [(role, name) for role in roles()
          for name in role.registry.families()]
+#: Each family's bare name and full default signature, checked on
+#: every run rather than whenever Hypothesis happens to draw them.
+FIXED = [(role, name, text) for role in roles()
+         for name, family in role.registry.families().items()
+         for text in dict.fromkeys((name, family.signature()))]
 
 
 def _value(data, registry, param):
@@ -75,12 +81,16 @@ def _draw_text(data, role, name):
     return f"{name}?{','.join(parts)}"
 
 
-@pytest.mark.parametrize("role, name", CASES,
-                         ids=[f"{r.name}-{n}" for r, n in CASES])
+@pytest.mark.parametrize(
+    "role, name, text",
+    [(r, n, None) for r, n in CASES] + FIXED,
+    ids=[f"{r.name}-{n}" for r, n in CASES]
+    + [f"{r.name}-{n}-{'bare' if t == n else 'signature'}"
+       for r, n, t in FIXED])
 @SETTINGS
 @given(data=st.data())
-def test_canonical_round_trips(role, name, data):
-    text = _draw_text(data, role, name)
+def test_canonical_round_trips(role, name, text, data):
+    text = text or _draw_text(data, role, name)
     if text is None:
         reject()
     spec = role.spec.parse(text)
