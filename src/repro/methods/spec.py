@@ -125,10 +125,23 @@ class MethodFamily(Family):
         return attention_reference(q, k_hat, v_hat, causal=False)
 
 
+class _FamilyRegistry(Registry):
+    def _check_params(self, family) -> None:
+        # Legacy aliases resolve before families in MethodSpec.parse, so
+        # a family named after another family's alias is unreachable.
+        alias = LEGACY.get(family.name)
+        if alias is not None and alias.spec.kind != family.name:
+            raise ValueError(
+                f"method family {family.name!r} would be shadowed by the "
+                f"legacy method name {family.name!r} (-> family "
+                f"{alias.spec.kind!r})")
+        super()._check_params(family)
+
+
 #: The method-family registry.  ``@register_family("toy")`` registers
 #: one instance of the decorated :class:`MethodFamily` subclass.
-FAMILIES = Registry("method family", "register_family", base=MethodFamily,
-                    instances=True, floats=False)
+FAMILIES = _FamilyRegistry("method family", "register_family",
+                           base=MethodFamily, instances=True, floats=False)
 register_family = FAMILIES.register
 method_families = FAMILIES.families
 
@@ -238,8 +251,8 @@ def register_legacy_alias(alias: str, spec: MethodSpec, *,
     ``name``/``display_name`` overrides applied to the built Method).
 
     Aliases resolve before families in :meth:`MethodSpec.parse`, so an
-    alias naming a different registered family would make that family
-    unreachable by its own name; that raises."""
+    alias naming a different family would make that family unreachable
+    by its own name; that raises whichever registers first."""
     if alias in LEGACY:
         raise ValueError(f"legacy method name {alias!r} already registered")
     if alias in FAMILIES.entries and spec.kind != alias:

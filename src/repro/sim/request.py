@@ -11,7 +11,10 @@ produced by prefill (``prefill_end``), and every decode token's
 completion time is recorded — per iteration on the token path, as a
 shared closed-form time vector per span on the fast path — so TTFT and
 time-between-tokens (TBT) statistics are derivable identically in both
-step modes.
+step modes.  A finished request is terminal, so
+:meth:`SimRequest.complete` computes its TBT statistics and
+decomposition once, when it finishes; records and result summaries read
+those values.
 """
 
 from __future__ import annotations
@@ -106,20 +109,23 @@ class SimRequest:
     tokens_generated: int = 0
     #: Decode-memory bytes reserved for this request.
     reserved_bytes: float = 0.0
-    #: Decode-token completion times, as appended chunks: floats on the
-    #: token path, per-span closed-form arrays (shared across the span's
-    #: batch, never mutated) on the span path.
+    #: Decode-token completion times, as appended chunks: 1-tuples on
+    #: the token path, per-span closed-form arrays (shared across the
+    #: span's batch, never mutated) on the span path — both 1-D, so
+    #: :meth:`complete` joins them in one ``np.concatenate``.
     _token_chunks: list = field(default_factory=list, repr=False,
                                 compare=False)
-    _token_times: np.ndarray | None = field(
-        default=None, repr=False, compare=False)
-    _tbt_gaps: np.ndarray | None = field(
-        default=None, repr=False, compare=False)
-    #: Memoized decomposition — buckets are final once ``finish`` is
-    #: set, so the first post-completion call caches for all aggregate
-    #: consumers (mean decomposition/ratios, summary, records).
-    _decomposition: dict | None = field(
-        default=None, repr=False, compare=False)
+    #: Computed once by :meth:`complete`: the joined token times, the
+    #: inter-token gaps, their mean / nearest-rank p99 / max and the
+    #: Fig. 10 decomposition.
+    _times: np.ndarray | None = field(default=None, repr=False,
+                                      compare=False)
+    _gaps: np.ndarray | None = field(default=None, repr=False,
+                                     compare=False)
+    tbt_mean: float = 0.0
+    tbt_p99: float = 0.0
+    tbt_max: float = 0.0
+    buckets: dict | None = None
 
     @property
     def request_id(self) -> int:
@@ -203,16 +209,8 @@ class SimRequest:
         self.tokens_generated = 0
         self.reserved_bytes = 0.0
         self._token_chunks = []
-        self._token_times = None
-        self._tbt_gaps = None
-        self._decomposition = None
 
     # -- serving metrics (TTFT / TBT) -----------------------------------------
-
-    @property
-    def first_token_s(self) -> float:
-        """Absolute time of the first output token (prefill produces it)."""
-        return self.prefill_end
 
     @property
     def ttft(self) -> float:
@@ -223,7 +221,7 @@ class SimRequest:
 
     def add_token_time(self, t: float) -> None:
         """Record one decode token's completion (token-path step)."""
-        self._token_chunks.append(t)
+        self._token_chunks.append((t,))
 
     def add_token_times(self, times: np.ndarray) -> None:
         """Record a span of decode token completions (fast-path step).
@@ -233,48 +231,43 @@ class SimRequest:
         """
         self._token_chunks.append(times)
 
+    def complete(self, now: float) -> None:
+        """Finish the request at ``now`` and compute its metrics once.
+
+        A finished request is terminal (never retried), so its token
+        times, gaps, TBT statistics and buckets are final here.  The
+        first gap — prefill's first token to the first decode token —
+        includes the KV transfer and any batching wait: exactly the
+        stall a user of a disaggregated deployment observes, and the
+        one KV compression shrinks.
+        """
+        self.finish = now
+        seq = np.concatenate(([self.prefill_end], *self._token_chunks))
+        self._times, self._gaps = seq[1:], seq[1:] - seq[:-1]
+        if self._gaps.size:
+            ascending = np.sort(self._gaps)
+            self.tbt_mean = float(self._gaps.mean())
+            self.tbt_p99 = nearest_rank(ascending, 99)
+            self.tbt_max = float(ascending[-1])
+        self.buckets = {
+            "queue": self.queue_s,
+            "prefill": self.prefill_s,
+            "quant": self.quant_s,
+            "comm": self.comm_s,
+            "dequant_or_approx": self.dequant_s + self.approx_s,
+            "decode": self.decode_s,
+        }
+
     def token_times(self) -> np.ndarray:
         """Absolute completion times of the decode tokens (length
-        ``output_len - 1``; the first token is prefill's)."""
-        if self._token_times is None:
-            parts = [np.atleast_1d(np.asarray(c, dtype=np.float64))
-                     for c in self._token_chunks]
-            joined = np.concatenate(parts) if parts \
-                else np.empty(0, dtype=np.float64)
-            if not self.done:
-                return joined
-            self._token_times = joined
-        return self._token_times
+        ``output_len - 1``; the first token is prefill's).  Set by
+        :meth:`complete`."""
+        return self._times
 
     def tbt_gaps(self) -> np.ndarray:
         """Inter-token gaps after the first token (length
-        ``output_len - 1``).
-
-        The gap between prefill's first token and the first decode
-        token includes the KV transfer and any batching wait — exactly
-        the stall a user of a disaggregated deployment observes, and
-        the one KV compression shrinks.  Memoized once finished (the
-        aggregate consumers — summary, records — hit it repeatedly).
-        """
-        if self._tbt_gaps is not None:
-            return self._tbt_gaps
-        times = self.token_times()
-        if times.size == 0:
-            gaps = times
-        else:
-            gaps = np.diff(np.concatenate(([self.first_token_s], times)))
-        if self.done:
-            self._tbt_gaps = gaps
-        return gaps
-
-    def mean_tbt(self) -> float:
-        """Mean inter-token gap (0 for single-token requests)."""
-        gaps = self.tbt_gaps()
-        return float(gaps.mean()) if gaps.size else 0.0
-
-    def tbt_percentile(self, p: float) -> float:
-        """Nearest-rank percentile of this request's inter-token gaps."""
-        return nearest_rank(np.sort(self.tbt_gaps()), p)
+        ``output_len - 1``).  Set by :meth:`complete`."""
+        return self._gaps
 
     @property
     def normalized_latency(self) -> float:
@@ -298,21 +291,10 @@ class SimRequest:
         self.tokens_generated += tokens
 
     def decomposition(self) -> dict[str, float]:
-        """Bucket → seconds (the Fig. 10 stacked bars).
-
-        Computed once per finished request; returns a fresh copy each
-        call (callers mutate it, e.g. :meth:`ratios`).
-        """
-        if self._decomposition is None:
-            self._decomposition = {
-                "queue": self.queue_s,
-                "prefill": self.prefill_s,
-                "quant": self.quant_s,
-                "comm": self.comm_s,
-                "dequant_or_approx": self.dequant_s + self.approx_s,
-                "decode": self.decode_s,
-            }
-        return dict(self._decomposition)
+        """Bucket → seconds (the Fig. 10 stacked bars); a fresh copy of
+        the values :meth:`complete` froze (callers mutate it, e.g.
+        :meth:`ratios`)."""
+        return dict(self.buckets)
 
     def record(self) -> dict:
         """Flat JSON-ready record of this request (artifact schema v4).
@@ -351,10 +333,9 @@ class SimRequest:
                 "decomposition_s": self.decomposition(),
                 "kv_access_s": self.kv_access_s,
                 "ttft_s": self.ttft,
-                "tbt_mean_s": self.mean_tbt(),
-                "tbt_p99_s": self.tbt_percentile(99),
-                "tbt_max_s": float(self.tbt_gaps().max())
-                if self.tbt_gaps().size else 0.0,
+                "tbt_mean_s": self.tbt_mean,
+                "tbt_p99_s": self.tbt_p99,
+                "tbt_max_s": self.tbt_max,
                 "normalized_latency_s": self.normalized_latency,
             })
         elif self.prefill_end >= 0.0:

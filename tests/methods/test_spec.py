@@ -232,6 +232,23 @@ class TestLegacyGolden:
         assert "fp" not in spec_module.LEGACY
         assert parse_method("fp").kind == "fp"
 
+    def test_family_shadowed_by_existing_alias_rejected(self, monkeypatch):
+        """The reverse order: a family registered under another
+        family's legacy name could never be parsed; registering it
+        raises and leaves the family table untouched."""
+        from repro.methods import spec as spec_module
+
+        monkeypatch.setattr(spec_module.FAMILIES, "entries",
+                            dict(spec_module.FAMILIES.entries))
+
+        class Shadowed(MethodFamily):
+            pass
+
+        with pytest.raises(ValueError, match="would be shadowed"):
+            register_family("fp4")(Shadowed)
+        assert "fp4" not in spec_module.FAMILIES.entries
+        assert parse_method("fp4") == parse_method("fp?bits=4")
+
     def test_grammar_spec_equals_legacy_values(self):
         assert resolve_method("hack?pi=128") == get_method("hack_pi128")
         assert resolve_method("fp?bits=6") == get_method("fp6")

@@ -23,6 +23,7 @@ from repro.methods import get_method
 from repro.model import get_model
 from repro.sim import capacity_rps, default_cluster, simulate
 from repro.sim.engine import Simulator
+from repro.sim.request import nearest_rank
 from repro.workload import generate_trace, get_dataset
 
 L = get_model("L")
@@ -411,6 +412,21 @@ class TestCachedSpanVectorReaders:
             tt, ts = rt.token_times(), rs.token_times()
             assert tt.size == ts.size
             np.testing.assert_allclose(ts, tt, rtol=RTOL)
+        # Requests the crashes caught mid-decode lost their KV, retried
+        # and finished: their token times, gaps and record TBT values
+        # come from the final attempt only.
+        assert any(r.recovered for r in span.requests)
+        for r in [*token.requests, *span.requests]:
+            times, gaps, rec = r.token_times(), r.tbt_gaps(), r.record()
+            assert times.size == r.trace.output_len - 1
+            np.testing.assert_array_equal(
+                gaps, np.diff(np.concatenate(([r.prefill_end], times))))
+            assert np.all(gaps >= 0.0)
+            assert rec["tbt_mean_s"] == (float(gaps.mean()) if gaps.size
+                                         else 0.0)
+            assert rec["tbt_p99_s"] == nearest_rank(np.sort(gaps), 99)
+            assert rec["tbt_max_s"] == (float(gaps.max()) if gaps.size
+                                        else 0.0)
 
 
 def _selection_counts(res):

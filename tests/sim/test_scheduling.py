@@ -457,7 +457,8 @@ class TestGoodputRegression:
         which json.dump writes as non-compliant ``Infinity``."""
         config = default_cluster(L, get_method("baseline"), "A10G")
         req = SimRequest(trace=TraceRequest(0, 5.0, 4, 1))
-        req.prefill_start = req.prefill_end = req.finish = 5.0
+        req.prefill_start = req.prefill_end = 5.0
+        req.complete(5.0)
         res = SimulationResult(requests=[req], peak_memory_fraction=0.5,
                                n_swapped=0, config=config)
         assert res.makespan_s() == 0.0

@@ -171,6 +171,56 @@ class TestResultMetrics:
         assert rec["tbt_mean_s"] <= rec["tbt_max_s"] + 1e-12
 
 
+SESSIONS = "sessions?turns=4.0,think_time=10.0,prefix_growth=0.3,tiers=3.0"
+
+#: A plain run, the KV-store + selection layers, and the fault, elastic
+#: and admission layers (seed 3 finishes 30 requests, sheds 9, fails 1
+#: and retries 6 times).
+SUMMARY_RUNS = {
+    "plain": {},
+    "kvstore_selection": dict(arrival=SESSIONS, kvstore="tiered?dram_gb=8.0",
+                              selection="slo_tier"),
+    "faults_elastic": dict(
+        arrival=SESSIONS, faults="replica_crash?mttf=30.0,mttr=6.0",
+        recovery="retry?base_s=0.5,cap_s=4.0,max=1.0",
+        autoscaler="reactive?queue_hi=3.0,queue_lo=1.0,cooldown_s=10.0,"
+                   "interval_s=2.0,cold_start_s=5.0",
+        admission="shed?queue_max=6.0"),
+}
+
+
+class TestSummaryMatchesRecords:
+    """``summary()`` and ``to_records()`` are two views of one result:
+    each statistic recomputed from the records matches exactly."""
+
+    @pytest.fixture(scope="class", params=sorted(SUMMARY_RUNS))
+    def result(self, request):
+        return _run(n=40, seed=3, **SUMMARY_RUNS[request.param])
+
+    @pytest.mark.parametrize("slo", [(DEFAULT_TTFT_SLO_S, DEFAULT_TBT_SLO_S),
+                                     (5.0, 0.1)])
+    def test_summary_recomputed_from_records(self, result, slo):
+        summary = result.summary(*slo)
+        records = result.to_records()
+        done = [r for r in records if r["terminal"] == "finished"]
+        n = len(done)
+        assert summary["avg_jct_s"] == sum(r["jct_s"] for r in done) / n
+        assert summary["mean_ttft_s"] == \
+            sum(sorted(r["ttft_s"] for r in done)) / n
+        assert summary["mean_normalized_latency_s"] == \
+            sum(r["normalized_latency_s"] for r in done) / n
+        met = sum(1 for r in done
+                  if r["ttft_s"] <= slo[0] and r["tbt_p99_s"] <= slo[1])
+        assert summary["slo_attainment"] == met / n
+        assert summary["n_rejected"] == \
+            sum(r["terminal"] == "rejected" for r in records)
+        assert summary["n_failed"] == \
+            sum(r["terminal"] == "failed" for r in records)
+        if result.faulted:
+            assert summary["faults"]["n_retries"] == \
+                sum(r["n_retries"] for r in records)
+
+
 class TestStepModeAgreement:
     """TTFT/TBT/SLO must agree between span and token stepping to 1e-9
     across every built-in arrival process (the metric substrate is
