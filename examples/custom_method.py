@@ -22,10 +22,10 @@ from repro.methods import (
     Method,
     MethodFamily,
     MethodSpec,
-    ParamDef,
     register_family,
     resolve_method,
 )
+from repro.spec import Param
 
 SCALE = 0.1   # keep the demo fast; drop for paper-fidelity traces
 
@@ -41,7 +41,7 @@ class TokenDropFamily(MethodFamily):
 
     description = "keep a fraction of FP16 KV, drop the rest"
     params = {
-        "keep": ParamDef(0.5, doc="fraction of KV entries kept"),
+        "keep": Param(0.5, doc="fraction of KV entries kept"),
     }
 
     def build_method(self, *, keep):

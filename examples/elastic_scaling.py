@@ -25,10 +25,10 @@ from repro.api import Runner, Scenario
 from repro.sim import (
     AdmissionPolicy,
     AutoscalerPolicy,
-    ElasticParam,
     register_admission,
     register_autoscaler,
 )
+from repro.spec import Param
 
 #: One diurnal cycle with a deep trough — the regime where elastic
 #: scaling pays (amp=0.9 drops the trough to 10% of peak).
@@ -104,8 +104,8 @@ def main():
     class TroughHalver(AutoscalerPolicy):
         name = "trough_halver"
         description = "halve the fleet whenever the backlog is empty"
-        params = {"interval_s": ElasticParam(3.0, "evaluation period"),
-                  "cold_start_s": ElasticParam(8.0, "boot delay")}
+        params = {"interval_s": Param(3.0, "evaluation period"),
+                  "cold_start_s": Param(8.0, "boot delay")}
 
         def desired(self, now, sim, n_prefill, n_decode, cur_prefill,
                     cur_decode):
@@ -117,7 +117,7 @@ def main():
     class VIPOnlyUnderLoad(AdmissionPolicy):
         name = "vip_only"
         description = "shed every non-zero tier once a backlog forms"
-        params = {"queue_max": ElasticParam(8.0, "backlog threshold")}
+        params = {"queue_max": Param(8.0, "backlog threshold")}
 
         def admit(self, now, req, sim):
             if (req.trace.slo_tier > 0

@@ -23,7 +23,8 @@ Run:  PYTHONPATH=src python examples/fault_injection.py
 """
 
 from repro.api import Runner, Scenario
-from repro.sim import FaultFamily, FaultParam, register_fault
+from repro.sim import FaultFamily, register_fault
+from repro.spec import Param
 
 #: Multi-turn conversations give the KV store a prefix worth caching.
 SESSIONS = "sessions?turns=4.0,think_time=10.0,prefix_growth=0.3"
@@ -109,9 +110,9 @@ def main():
 
         name = "maintenance"
         description = "planned downtime for one decode replica"
-        params = {"start": FaultParam(60.0, "window start (s)"),
-                  "duration": FaultParam(120.0, "window length (s)"),
-                  "replica": FaultParam(0.0, "decode replica index")}
+        params = {"start": Param(60.0, "window start (s)"),
+                  "duration": Param(120.0, "window length (s)"),
+                  "replica": Param(0.0, "decode replica index")}
 
         def events(self, rng, horizon_s, n_prefill, n_decode):
             idx = min(int(self.p["replica"]), n_decode - 1)

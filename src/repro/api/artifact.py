@@ -75,6 +75,22 @@ _COMPARE_SCALARS = ("n_requests", "avg_jct_s", "p50_jct_s", "p95_jct_s",
                     # schema v5 cost-efficiency metrics
                     "gpu_hours", "goodput_per_gpu_hour")
 
+#: Optional summary blocks and the metrics ``compare`` checks in each
+#: when both sides carry the block; a block on one side only is a full
+#: diff.
+_COMPARE_BLOCKS = (
+    ("kvstore", ("hit_rate", "prefill_tokens_skipped", "lookups", "hits",
+                 "dropped", "expired")),
+    ("faults", ("availability", "n_failed", "n_recovered", "n_retries",
+                "wasted_compute_s", "wasted_work_fraction",
+                "goodput_under_faults_rps")),
+    ("elastic", ("n_scale_ups", "n_scale_downs", "scaling_events",
+                 "mean_prefill_replicas", "peak_prefill_replicas",
+                 "mean_decode_replicas", "peak_decode_replicas",
+                 "mean_utilization", "gpu_hours", "goodput_per_gpu_hour",
+                 "n_shed", "n_degraded")),
+)
+
 
 @dataclass
 class MethodRun:
@@ -256,43 +272,18 @@ def compare_artifacts(a: RunArtifact, b: RunArtifact,
         for metric in _COMPARE_SCALARS:
             if metric in sa and metric in sb:   # v2 keys absent in v1
                 check(metric, sa[metric], sb[metric])
-        ka, kb = sa.get("kvstore"), sb.get("kvstore")
-        if ka is not None and kb is not None:
-            for metric in ("hit_rate", "prefill_tokens_skipped",
-                           "lookups", "hits", "dropped", "expired"):
-                check(f"kvstore.{metric}", ka[metric], kb[metric])
-        elif (ka is None) != (kb is None):
-            method_diff["kvstore"] = {"a": ka is not None,
-                                      "b": kb is not None,
-                                      "rel_diff": 1.0}
         ma, mb = sa.get("selection_mix"), sb.get("selection_mix")
         if ma != mb:
             method_diff["selection_mix"] = {"a": ma, "b": mb,
                                             "rel_diff": 1.0}
-        fa, fb = sa.get("faults"), sb.get("faults")
-        if fa is not None and fb is not None:
-            for metric in ("availability", "n_failed", "n_recovered",
-                           "n_retries", "wasted_compute_s",
-                           "wasted_work_fraction",
-                           "goodput_under_faults_rps"):
-                check(f"faults.{metric}", fa[metric], fb[metric])
-        elif (fa is None) != (fb is None):
-            method_diff["faults"] = {"a": fa is not None,
-                                     "b": fb is not None,
-                                     "rel_diff": 1.0}
-        ea, eb = sa.get("elastic"), sb.get("elastic")
-        if ea is not None and eb is not None:
-            for metric in ("n_scale_ups", "n_scale_downs",
-                           "scaling_events", "mean_prefill_replicas",
-                           "peak_prefill_replicas",
-                           "mean_decode_replicas",
-                           "peak_decode_replicas", "mean_utilization",
-                           "gpu_hours", "goodput_per_gpu_hour",
-                           "n_shed", "n_degraded"):
-                check(f"elastic.{metric}", ea[metric], eb[metric])
-        elif (ea is None) != (eb is None):
-            method_diff["elastic"] = {"a": ea is not None,
-                                      "b": eb is not None,
+        for block, metrics in _COMPARE_BLOCKS:
+            ba, bb = sa.get(block), sb.get(block)
+            if ba is not None and bb is not None:
+                for metric in metrics:
+                    check(f"{block}.{metric}", ba[metric], bb[metric])
+            elif (ba is None) != (bb is None):
+                method_diff[block] = {"a": ba is not None,
+                                      "b": bb is not None,
                                       "rel_diff": 1.0}
         da, db = sa["mean_decomposition_s"], sb["mean_decomposition_s"]
         for bucket in sorted(set(da) | set(db)):

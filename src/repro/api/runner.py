@@ -1,12 +1,10 @@
 """Scenario resolution and execution.
 
 :func:`resolve` turns a declarative :class:`~repro.api.scenario.Scenario`
-into concrete simulation inputs — the §7.1 defaults exactly as the
-historical ``experiments.common.run_methods`` applied them (baseline-
-capacity RPS, horizon-matched trace length, fleet-derived replica
-counts) — and :class:`Runner` executes scenarios through a pluggable
-executor: serial in-process, or a ``multiprocessing`` pool with
-``workers=N``.
+into concrete simulation inputs — the §7.1 defaults (baseline-capacity
+RPS, horizon-matched trace length, fleet-derived replica counts) — and
+:class:`Runner` executes scenarios through a pluggable executor: serial
+in-process, or a ``multiprocessing`` pool with ``workers=N``.
 
 Parallelism is per (scenario, method): every method of every scenario
 is an independent simulation over a deterministic trace, so the

@@ -7,8 +7,7 @@ and dispatched to worker processes.  Resolution of a scenario into a
 concrete trace + cluster configs lives in :mod:`repro.api.runner`; this
 module is pure description.
 
-Field semantics follow the paper's §7.1 conventions (and are identical
-to the historical ``experiments.common.run_methods`` keywords):
+Field semantics follow the paper's §7.1 conventions:
 
 * ``rps=None`` derives the arrival rate from the *baseline* system's
   capacity at ``load_factor`` (default 1.05 — just past saturation);

@@ -20,32 +20,15 @@ service-aware per-request compression-selection layer.
   :class:`~repro.methods.spec.MethodSpec` a runtime decision.
 """
 
-from .selection import (
-    CompressionSelectionPolicy,
-    SelectionSpec,
-    canonical_selection,
-    parse_selection,
-    register_selection,
-    selection_policies,
-    selection_spec,
-    split_selection_list,
-)
+from .selection import CompressionSelectionPolicy, SelectionSpec, \
+    register_selection
 from .spec import (
     DEFAULT_EVICTION,
     DEFAULT_STORE,
     EvictionPolicy,
     EvictionSpec,
     KVStoreSpec,
-    canonical_kvstore,
-    eviction_policies,
-    get_eviction_policy,
-    get_kvstore_family,
-    has_kvstore_families,
-    kvstore_families,
-    kvstore_spec,
-    parse_kvstore,
     register_eviction,
-    split_kvstore_list,
 )
 from .store import CacheEntry, CacheHit, TierDef, TieredKVStore, TierState
 
@@ -55,15 +38,6 @@ __all__ = [
     "EvictionSpec",
     "KVStoreSpec",
     "register_eviction",
-    "get_eviction_policy",
-    "get_kvstore_family",
-    "eviction_policies",
-    "kvstore_families",
-    "has_kvstore_families",
-    "kvstore_spec",
-    "parse_kvstore",
-    "canonical_kvstore",
-    "split_kvstore_list",
     "DEFAULT_STORE",
     "DEFAULT_EVICTION",
     # store
@@ -76,9 +50,4 @@ __all__ = [
     "CompressionSelectionPolicy",
     "SelectionSpec",
     "register_selection",
-    "selection_policies",
-    "selection_spec",
-    "parse_selection",
-    "canonical_selection",
-    "split_selection_list",
 ]

@@ -30,17 +30,13 @@ from __future__ import annotations
 
 from ..methods.base import Method
 from ..methods.spec import resolve_method
-from ..spec import Family, FamilySpec, Param, Registry, split_spec_list
+from ..spec import Family, FamilySpec, Param, Registry
 
 __all__ = [
     "CompressionSelectionPolicy",
     "SelectionSpec",
+    "SELECTIONS",
     "register_selection",
-    "selection_policies",
-    "selection_spec",
-    "parse_selection",
-    "canonical_selection",
-    "split_selection_list",
 ]
 
 
@@ -65,7 +61,6 @@ class CompressionSelectionPolicy(Family):
 SELECTIONS = Registry("selection policy", "register_selection",
                       base=CompressionSelectionPolicy)
 register_selection = SELECTIONS.register
-selection_policies = SELECTIONS.families
 
 
 class SelectionSpec(FamilySpec):
@@ -73,12 +68,6 @@ class SelectionSpec(FamilySpec):
     (``congestion?hi=0.75,lo=0.5``)."""
 
     registry = SELECTIONS
-
-
-parse_selection = SelectionSpec.parse
-selection_spec = SelectionSpec.from_ref
-canonical_selection = SelectionSpec.canonicalize
-split_selection_list = split_spec_list
 
 
 def _check_method_ref(kind: str, name: str, value: str) -> None:

@@ -29,22 +29,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..spec import Family, FamilySpec, Param, Registry, all_known, \
-    parse_pair, split_spec_list
+    parse_pair
 
 __all__ = [
     "EvictionPolicy",
     "EvictionSpec",
     "KVStoreSpec",
+    "STORES",
+    "EVICTIONS",
     "register_eviction",
-    "get_eviction_policy",
-    "get_kvstore_family",
-    "eviction_policies",
-    "kvstore_families",
-    "has_kvstore_families",
-    "kvstore_spec",
-    "parse_kvstore",
-    "canonical_kvstore",
-    "split_kvstore_list",
+    "register_kvstore_family",
     "DEFAULT_STORE",
     "DEFAULT_EVICTION",
 ]
@@ -100,10 +94,6 @@ EVICTIONS = Registry("eviction policy", "register_eviction",
                      base=EvictionPolicy, shares=STORES)
 register_eviction = EVICTIONS.register
 register_kvstore_family = STORES.register
-get_eviction_policy = EVICTIONS.get
-get_kvstore_family = STORES.get
-eviction_policies = EVICTIONS.families
-kvstore_families = STORES.families
 
 
 class EvictionSpec(FamilySpec):
@@ -171,13 +161,6 @@ class KVStoreSpec(FamilySpec):
         if self.eviction is None:
             return head
         return f"{head}+{self.eviction.canonical()}"
-
-
-parse_kvstore = KVStoreSpec.parse
-kvstore_spec = KVStoreSpec.from_ref
-canonical_kvstore = KVStoreSpec.canonicalize
-has_kvstore_families = KVStoreSpec.known
-split_kvstore_list = split_spec_list
 
 
 # -- built-in eviction policies -----------------------------------------------

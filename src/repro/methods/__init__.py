@@ -19,21 +19,14 @@ from .registry import (
     METHODS,
     PAPER_COMPARISON,
     get_method,
-    hack_method,
 )
 from .spec import (
     MethodFamily,
     MethodSpec,
-    ParamDef,
     apply_method_params,
-    canonical_method,
     legacy_names,
-    method_families,
-    method_spec,
-    parse_method,
     register_family,
     resolve_method,
-    split_method_list,
 )
 
 __all__ = [
@@ -42,20 +35,13 @@ __all__ = [
     "quantized_bytes_per_value",
     "METHODS",
     "get_method",
-    "hack_method",
     "PAPER_COMPARISON",
     "ABLATIONS",
     "FP_FORMAT_METHODS",
     "MethodSpec",
     "MethodFamily",
-    "ParamDef",
     "register_family",
-    "method_families",
-    "method_spec",
-    "parse_method",
     "resolve_method",
-    "canonical_method",
-    "split_method_list",
     "apply_method_params",
     "legacy_names",
 ]

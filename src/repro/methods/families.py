@@ -29,13 +29,9 @@ aliases of these families; :mod:`repro.methods.registry` rebuilds its
 from __future__ import annotations
 
 from .base import FP16_BYTES, Method, quantized_bytes_per_value
-from .spec import (
-    MethodFamily,
-    MethodSpec,
-    ParamDef,
-    register_family,
-    register_legacy_alias,
-)
+from ..spec import Param
+from .spec import MethodFamily, MethodSpec, register_family, \
+    register_legacy_alias
 
 __all__ = [
     "BaselineFamily",
@@ -66,7 +62,7 @@ def _check_quant_params(partition_size: int, bits: int) -> None:
 @register_family("baseline")
 class BaselineFamily(MethodFamily):
     description = "uncompressed FP16 KV cache"
-    params: dict[str, ParamDef] = {}
+    params: dict[str, Param] = {}
     exact = True
 
     def build_method(self) -> Method:
@@ -82,11 +78,11 @@ class BaselineFamily(MethodFamily):
 class HackFamily(MethodFamily):
     description = "homomorphic partitioned quantization (the paper)"
     params = {
-        "partition_size": ParamDef(64, alias="pi", doc="Π partition size"),
-        "bits": ParamDef(2, doc="code width (§8 sketches an INT4 path)"),
-        "summation_elimination": ParamDef(True, alias="se"),
-        "requant_elimination": ParamDef(True, alias="rqe"),
-        "int_compute_gain": ParamDef(
+        "partition_size": Param(64, alias="pi", doc="Π partition size"),
+        "bits": Param(2, doc="code width (§8 sketches an INT4 path)"),
+        "summation_elimination": Param(True, alias="se"),
+        "requant_elimination": Param(True, alias="rqe"),
+        "int_compute_gain": Param(
             1.0, alias="gain",
             doc="integer-kernel gain over plain INT8 (hack_int4: 1.6)"),
     }
@@ -176,10 +172,10 @@ class CacheGenFamily(_ComparatorFamily):
     description = "CacheGen-like anchor+delta codec (§2.2 comparator)"
     display_name = "CacheGen"
     params = {
-        "chunk_size": ParamDef(16),
-        "anchor_bits": ParamDef(8),
-        "delta_bits": ParamDef(3),
-        "delta_gain": ParamDef(16.0),
+        "chunk_size": Param(16),
+        "anchor_bits": Param(8),
+        "delta_bits": Param(3),
+        "delta_gain": Param(16.0),
     }
 
     def build_compressors(self, **params):
@@ -196,7 +192,7 @@ class KVQuantFamily(_ComparatorFamily):
     #: per dequantization pass than CacheGen's dense-grid decode.
     dequant_traffic_scale = 1.25
     params = {
-        "bits": ParamDef(2),
+        "bits": Param(2),
     }
 
     def build_compressors(self, *, bits):
@@ -210,7 +206,7 @@ class KVQuantFamily(_ComparatorFamily):
 class FpFormatFamily(MethodFamily):
     description = "FP4/FP6/FP8 minifloat KV storage (§3)"
     params = {
-        "bits": ParamDef(8, choices=(4, 6, 8)),
+        "bits": Param(8, choices=(4, 6, 8)),
     }
 
     _DISPLAY = {4: "FP4 (E2M1)", 6: "FP6 (E3M2)", 8: "FP8 (E4M3)"}
@@ -246,9 +242,9 @@ class FpFormatFamily(MethodFamily):
 class GenericQuantFamily(MethodFamily):
     description = "generic dequantize-first partitioned INT quantizer"
     params = {
-        "bits": ParamDef(4),
-        "partition_size": ParamDef(64, alias="pi"),
-        "dequant": ParamDef("per_iter", choices=("per_iter", "once"),
+        "bits": Param(4),
+        "partition_size": Param(64, alias="pi"),
+        "dequant": Param("per_iter", choices=("per_iter", "once"),
                             doc="per_iter: full-cache dequantization "
                                 "every decode iteration; once: "
                                 "materialized once on arrival"),

@@ -24,43 +24,13 @@ Byte counts per KV scalar:
 
 from __future__ import annotations
 
-import dataclasses
-
 from . import families as _families  # noqa: F401  (registers the families)
 from .base import Method
 from ..spec import suggest
-from .spec import MethodSpec, legacy_names, resolve_method
+from .spec import legacy_names, resolve_method
 
-__all__ = ["METHODS", "get_method", "hack_method", "PAPER_COMPARISON",
-           "ABLATIONS", "FP_FORMAT_METHODS"]
-
-
-def hack_method(
-    partition_size: int = 64,
-    summation_elimination: bool = True,
-    requant_elimination: bool = True,
-    name: str | None = None,
-    display_name: str | None = None,
-    int_compute_gain: float = 1.0,
-) -> Method:
-    """Build a HACK method variant (used for Π sensitivity and ablations).
-
-    A thin wrapper over the ``hack`` family — kept for callers that
-    want a Method directly rather than a :class:`MethodSpec`.
-    """
-    built = MethodSpec.of(
-        "hack",
-        partition_size=partition_size,
-        summation_elimination=summation_elimination,
-        requant_elimination=requant_elimination,
-        int_compute_gain=int_compute_gain,
-    ).build_method()
-    overrides = {}
-    if name is not None:
-        overrides["name"] = name
-    if display_name is not None:
-        overrides["display_name"] = display_name
-    return dataclasses.replace(built, **overrides) if overrides else built
+__all__ = ["METHODS", "get_method", "PAPER_COMPARISON", "ABLATIONS",
+           "FP_FORMAT_METHODS"]
 
 
 #: name → Method for the paper's 13 methods, resolved through the spec

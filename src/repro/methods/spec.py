@@ -56,29 +56,19 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
-from ..spec import Family, FamilySpec, Param, Registry, alias_map, \
-    split_spec_list, suggest
+from ..spec import Family, FamilySpec, Registry, alias_map, suggest
 from .base import Method
 
 __all__ = [
     "MethodSpec",
     "MethodFamily",
-    "ParamDef",
+    "FAMILIES",
     "register_family",
-    "method_families",
     "register_legacy_alias",
     "legacy_names",
-    "method_spec",
     "resolve_method",
-    "canonical_method",
-    "parse_method",
-    "split_method_list",
     "apply_method_params",
 ]
-
-#: Method parameters are :class:`~repro.spec.Param` (alias and choices
-#: are keyword arguments).
-ParamDef = Param
 
 
 class MethodFamily(Family):
@@ -143,7 +133,6 @@ class _FamilyRegistry(Registry):
 FAMILIES = _FamilyRegistry("method family", "register_family",
                            base=MethodFamily, instances=True, floats=False)
 register_family = FAMILIES.register
-method_families = FAMILIES.families
 
 
 @dataclass(frozen=True)
@@ -238,12 +227,6 @@ class MethodSpec(FamilySpec):
         return super().canonicalize(reference)
 
 
-parse_method = MethodSpec.parse
-method_spec = MethodSpec.from_ref
-canonical_method = MethodSpec.canonicalize
-split_method_list = split_spec_list
-
-
 def register_legacy_alias(alias: str, spec: MethodSpec, *,
                           name: str | None = None,
                           display_name: str | None = None) -> None:
@@ -281,7 +264,7 @@ def resolve_method(method) -> Method:
             if alias.overrides:
                 built = dataclasses.replace(built, **dict(alias.overrides))
             return built
-    return method_spec(method).build_method()
+    return MethodSpec.from_ref(method).build_method()
 
 
 def apply_method_params(method, changes: dict) -> tuple[str, set]:
@@ -292,11 +275,11 @@ def apply_method_params(method, changes: dict) -> tuple[str, set]:
     family defines; the rest pass through unchanged — e.g. ``baseline``
     in a ``method.partition_size`` sweep over ``baseline,hack`` comes
     back verbatim with an empty set."""
-    spec = method_spec(method)
+    spec = MethodSpec.from_ref(method)
     family = spec.family()
     aliases = alias_map(family)
     applicable = {k: v for k, v in changes.items()
                   if aliases.get(k, k) in family.params}
     if not applicable:
-        return canonical_method(method), set()
+        return MethodSpec.canonicalize(method), set()
     return spec.with_params(**applicable).canonical(), set(applicable)

@@ -7,53 +7,26 @@ from .elastic import (
     AdmissionSpec,
     AutoscalerPolicy,
     AutoscalerSpec,
-    ElasticParam,
-    admission_policies,
-    admission_spec,
-    autoscaler_policies,
-    autoscaler_spec,
-    canonical_admission,
-    canonical_autoscaler,
-    parse_autoscaler,
     register_admission,
     register_autoscaler,
-    split_autoscaler_list,
 )
 from .engine import ClusterConfig, Simulator, default_cluster, simulate
-from .faults import (
-    FaultFamily,
-    FaultParam,
-    FaultPlan,
-    FaultSpec,
-    canonical_faults,
-    fault_families,
-    parse_faults,
-    register_fault,
-    split_faults_list,
-)
+from .faults import FaultFamily, FaultPlan, FaultSpec, register_fault
 from .recovery import (
     DEFAULT_RECOVERY,
     RecoveryPolicy,
     RecoverySpec,
-    canonical_recovery,
-    parse_recovery,
-    recovery_policies,
     register_recovery,
-    split_recovery_list,
 )
 from .request import BUCKETS, SimRequest
 from .result import SimulationResult
 from .scheduling import (
     DecodePlacementPolicy,
-    PolicySpec,
+    DispatchSpec,
+    PlacementSpec,
     PrefillDispatchPolicy,
     SchedulerSpec,
-    canonical_scheduler,
-    dispatch_policies,
-    parse_scheduler,
-    placement_policies,
     register_policy,
-    split_scheduler_list,
 )
 
 __all__ = [
@@ -69,45 +42,23 @@ __all__ = [
     "stage_capacities",
     "PrefillDispatchPolicy",
     "DecodePlacementPolicy",
-    "PolicySpec",
+    "DispatchSpec",
+    "PlacementSpec",
     "SchedulerSpec",
     "register_policy",
-    "dispatch_policies",
-    "placement_policies",
-    "parse_scheduler",
-    "canonical_scheduler",
-    "split_scheduler_list",
     "FaultFamily",
-    "FaultParam",
     "FaultPlan",
     "FaultSpec",
     "register_fault",
-    "fault_families",
-    "parse_faults",
-    "canonical_faults",
-    "split_faults_list",
     "RecoveryPolicy",
     "RecoverySpec",
     "DEFAULT_RECOVERY",
     "register_recovery",
-    "recovery_policies",
-    "parse_recovery",
-    "canonical_recovery",
-    "split_recovery_list",
     "AutoscalerPolicy",
     "AdmissionPolicy",
     "AutoscalerSpec",
     "AdmissionSpec",
-    "ElasticParam",
     "DEFAULT_AUTOSCALER",
     "register_autoscaler",
     "register_admission",
-    "autoscaler_policies",
-    "admission_policies",
-    "parse_autoscaler",
-    "autoscaler_spec",
-    "admission_spec",
-    "canonical_autoscaler",
-    "canonical_admission",
-    "split_autoscaler_list",
 ]

@@ -77,9 +77,7 @@ def stage_capacities(config: ClusterConfig, dataset: DatasetSpec,
         comm_s = transfer_time(spec, config.method, mean_in, pre, dec, calib,
                                n_stages=config.pipeline_stages)
         nic_rps += count / comm_s
-    params = spec.param_bytes()
-    capacity = (dec.mem_gb * 1e9 * (1 - config.mem_reserve_fraction)
-                - params * (1 + config.activation_overhead))
+    _, capacity = config.decode_memory()
     per_request = (mean_in + mean_out) * spec.kv_bytes_per_token(
         config.method.kv_mem_bytes_per_value
     )

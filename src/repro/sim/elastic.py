@@ -37,34 +37,25 @@ run that names them explicitly produces the same records.
 
 from __future__ import annotations
 
-from ..spec import Family, FamilySpec, Param, Registry, split_spec_list
+from ..spec import Family, FamilySpec, Param, Registry
 
 __all__ = [
     "DEFAULT_ADMISSION",
     "DEFAULT_AUTOSCALER",
-    "ElasticParam",
     "AutoscalerPolicy",
     "AdmissionPolicy",
     "AutoscalerSpec",
     "AdmissionSpec",
+    "AUTOSCALERS",
+    "ADMISSIONS",
     "register_autoscaler",
     "register_admission",
-    "autoscaler_policies",
-    "admission_policies",
-    "autoscaler_spec",
-    "admission_spec",
-    "parse_autoscaler",
-    "canonical_autoscaler",
-    "canonical_admission",
-    "split_autoscaler_list",
 ]
 
 #: The do-nothing autoscaler and admission policy the engine runs when
 #: none is configured.
 DEFAULT_AUTOSCALER = "static"
 DEFAULT_ADMISSION = "accept_all"
-
-ElasticParam = Param
 
 
 # -- policy base classes ------------------------------------------------------
@@ -150,8 +141,6 @@ ADMISSIONS = Registry("admission policy", "register_admission",
                       base=AdmissionPolicy)
 register_autoscaler = AUTOSCALERS.register
 register_admission = ADMISSIONS.register
-autoscaler_policies = AUTOSCALERS.families
-admission_policies = ADMISSIONS.families
 
 
 class AutoscalerSpec(FamilySpec):
@@ -164,14 +153,6 @@ class AdmissionSpec(FamilySpec):
     """One declarative admission reference (``shed?queue_max=48.0``)."""
 
     registry = ADMISSIONS
-
-
-parse_autoscaler = AutoscalerSpec.parse
-autoscaler_spec = AutoscalerSpec.from_ref
-admission_spec = AdmissionSpec.from_ref
-canonical_autoscaler = AutoscalerSpec.canonicalize
-canonical_admission = AdmissionSpec.canonicalize
-split_autoscaler_list = split_spec_list
 
 
 # -- built-in autoscalers -----------------------------------------------------

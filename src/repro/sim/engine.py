@@ -237,6 +237,16 @@ class ClusterConfig:
     def decode_replica(self) -> ReplicaResources:
         return replica_resources(self.model, self.decode_gpu)
 
+    def decode_memory(self) -> tuple[float, float]:
+        """``(base_bytes, kv_capacity_bytes)`` of one decode replica:
+        the parameters plus their activation reservation, and the KV
+        bytes left beside them once ``mem_reserve_fraction`` is held
+        back."""
+        base = self.model.param_bytes() * (1.0 + self.activation_overhead)
+        capacity = (self.decode_replica().mem_gb * _GB
+                    * (1.0 - self.mem_reserve_fraction) - base)
+        return base, capacity
+
 
 def _default_fleet_replicas(model: ModelSpec, gpu: str) -> int:
     """§7.1 replica count of ``gpu``'s default instance fleet."""
@@ -415,10 +425,7 @@ class Simulator:
             res = replica_resources(self.spec, gpu)
             self._prefill.extend(_PrefillReplica(gpu=gpu, res=res)
                                  for _ in range(count))
-        params = self.spec.param_bytes()
-        base = params * (1.0 + config.activation_overhead)
-        capacity = (self.dec_res.mem_gb * _GB
-                    * (1.0 - config.mem_reserve_fraction) - base)
+        base, capacity = config.decode_memory()
         if capacity <= 0:
             raise ValueError(
                 f"decode replica memory too small for {self.spec.name}"

@@ -41,27 +41,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..spec import Family, FamilySpec, Grammar, Param, Registry, all_known, \
-    split_spec_list
+from ..spec import Family, FamilySpec, Grammar, Param, Registry, all_known
 
 __all__ = [
-    "FaultParam",
     "FaultFamily",
     "FaultSpec",
     "FaultPlan",
+    "FAULTS",
     "register_fault",
-    "fault_families",
-    "has_fault_families",
-    "parse_faults",
-    "canonical_faults",
-    "split_faults_list",
     "check_kvstore_outages",
 ]
 
 #: Replica roles a crash family may target.
 _ROLES = ("prefill", "decode")
-
-FaultParam = Param
 
 
 class FaultFamily(Family):
@@ -98,10 +90,7 @@ class FaultFamily(Family):
 
 
 FAULTS = Registry("fault family", "register_fault", base=FaultFamily)
-#: The registry's entries, by name.
-_FAULTS = FAULTS.entries
 register_fault = FAULTS.register
-fault_families = FAULTS.families
 
 
 class FaultSpec(FamilySpec):
@@ -207,12 +196,6 @@ def check_kvstore_outages(plan: FaultPlan, store) -> None:
                 f"kvstore_outage tier {tier!r} is not in the configured "
                 f"store (tiers: {', '.join(names)})"
             )
-
-
-parse_faults = FaultPlan.parse
-canonical_faults = FaultPlan.canonicalize
-has_fault_families = FaultPlan.known
-split_faults_list = split_spec_list
 
 
 # -- built-in families --------------------------------------------------------

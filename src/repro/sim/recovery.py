@@ -31,17 +31,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..spec import Family, FamilySpec, Param, Registry, split_spec_list
+from ..spec import Family, FamilySpec, Param, Registry
 
 __all__ = [
     "RecoveryPolicy",
     "RecoverySpec",
+    "RECOVERIES",
     "register_recovery",
-    "recovery_policies",
-    "has_recovery_policy",
-    "parse_recovery",
-    "canonical_recovery",
-    "split_recovery_list",
     "DEFAULT_RECOVERY",
 ]
 
@@ -69,11 +65,7 @@ class RecoveryPolicy(Family):
 
 RECOVERIES = Registry("recovery policy", "register_recovery",
                       base=RecoveryPolicy)
-#: The registry's entries, by name.
-_RECOVERIES = RECOVERIES.entries
 register_recovery = RECOVERIES.register
-recovery_policies = RECOVERIES.families
-has_recovery_policy = RECOVERIES.has
 
 
 class RecoverySpec(FamilySpec):
@@ -81,11 +73,6 @@ class RecoverySpec(FamilySpec):
     (``retry?base_s=2.0,max=5.0``)."""
 
     registry = RECOVERIES
-
-
-parse_recovery = RecoverySpec.parse
-canonical_recovery = RecoverySpec.canonicalize
-split_recovery_list = split_spec_list
 
 
 # -- built-in families --------------------------------------------------------

@@ -45,19 +45,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..spec import Family, FamilySpec, Grammar, Param, Registry, all_known, \
-    parse_pair, split_spec_list
+    parse_pair
 
 __all__ = [
     "PrefillDispatchPolicy",
     "DecodePlacementPolicy",
-    "PolicySpec",
+    "DISPATCH",
+    "PLACEMENT",
+    "DispatchSpec",
+    "PlacementSpec",
     "SchedulerSpec",
     "register_policy",
-    "dispatch_policies",
-    "placement_policies",
-    "parse_scheduler",
-    "canonical_scheduler",
-    "split_scheduler_list",
 ]
 
 #: The paper's §7.1 policy pair (the engine default).
@@ -123,8 +121,6 @@ DISPATCH = Registry("dispatch policy", "register_policy",
                     base=PrefillDispatchPolicy)
 PLACEMENT = Registry("placement policy", "register_policy",
                      base=DecodePlacementPolicy, shares=DISPATCH)
-dispatch_policies = DISPATCH.families
-placement_policies = PLACEMENT.families
 
 
 def register_policy(cls=None, *, replace: bool = False):
@@ -151,16 +147,6 @@ class PlacementSpec(FamilySpec):
 
     registry = PLACEMENT
     role = "placement"
-
-
-def PolicySpec(role: str, kind: str, params=()) -> FamilySpec:
-    """One policy reference; ``role`` (``"dispatch"`` or
-    ``"placement"``) selects the registry."""
-    specs = {"dispatch": DispatchSpec, "placement": PlacementSpec}
-    if role not in specs:
-        raise ValueError(
-            f"policy role must be 'dispatch' or 'placement', got {role!r}")
-    return specs[role](kind, params)
 
 
 @dataclass(frozen=True)
@@ -213,11 +199,6 @@ class SchedulerSpec(Grammar):
         if not parts:
             return f"{DEFAULT_DISPATCH}+{DEFAULT_PLACEMENT}"
         return "+".join(parts)
-
-
-parse_scheduler = SchedulerSpec.parse
-canonical_scheduler = SchedulerSpec.canonicalize
-split_scheduler_list = split_spec_list
 
 
 # -- built-in dispatch policies -----------------------------------------------

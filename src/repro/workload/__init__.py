@@ -1,18 +1,7 @@
 """Workload substrate: dataset length models (Table 4), pluggable
 arrival processes, and trace generation/merging."""
 
-from .arrivals import (
-    ArrivalParam,
-    ArrivalProcess,
-    ArrivalSpec,
-    arrival_processes,
-    arrival_spec,
-    canonical_arrival,
-    get_arrival_process,
-    parse_arrival,
-    register_arrival,
-    split_arrival_list,
-)
+from .arrivals import ArrivalProcess, ArrivalSpec, register_arrival
 from .datasets import (
     DATASETS,
     DatasetSpec,
@@ -36,14 +25,7 @@ __all__ = [
     "generate_trace",
     "capped_trace",
     "merge_traces",
-    "ArrivalParam",
     "ArrivalProcess",
     "ArrivalSpec",
-    "arrival_processes",
-    "arrival_spec",
-    "canonical_arrival",
-    "get_arrival_process",
-    "parse_arrival",
     "register_arrival",
-    "split_arrival_list",
 ]

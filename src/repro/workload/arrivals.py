@@ -44,22 +44,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..spec import Family, FamilySpec, Param, Registry, split_spec_list
+from ..spec import Family, FamilySpec, Param, Registry
 
-__all__ = [
-    "ArrivalParam",
-    "ArrivalProcess",
-    "ArrivalSpec",
-    "register_arrival",
-    "get_arrival_process",
-    "arrival_processes",
-    "arrival_spec",
-    "parse_arrival",
-    "canonical_arrival",
-    "split_arrival_list",
-]
-
-ArrivalParam = Param
+__all__ = ["ArrivalProcess", "ArrivalSpec", "ARRIVALS", "register_arrival"]
 
 
 class ArrivalProcess(Family):
@@ -97,8 +84,6 @@ class ArrivalProcess(Family):
 ARRIVALS = Registry("arrival process", "register_arrival",
                     base=ArrivalProcess, instances=True)
 register_arrival = ARRIVALS.register
-get_arrival_process = ARRIVALS.get
-arrival_processes = ARRIVALS.families
 
 
 class ArrivalSpec(FamilySpec):
@@ -116,12 +101,6 @@ class ArrivalSpec(FamilySpec):
             raise ValueError(f"n must be >= 1, got {n}")
         return self.family().sample_arrivals(rng, rps, n,
                                              **self.resolved_params())
-
-
-parse_arrival = ArrivalSpec.parse
-arrival_spec = ArrivalSpec.from_ref
-canonical_arrival = ArrivalSpec.canonicalize
-split_arrival_list = split_spec_list
 
 
 # -- built-in families --------------------------------------------------------

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrivals import ArrivalSpec, arrival_spec, get_arrival_process
+from .arrivals import ArrivalSpec
 from .datasets import DatasetSpec, get_dataset
 
 __all__ = ["TraceRequest", "Trace", "generate_trace", "capped_trace",
@@ -128,9 +128,9 @@ def generate_trace(
     if slo_tier < 0:
         raise ValueError(f"slo_tier must be >= 0, got {slo_tier}")
     spec = dataset if isinstance(dataset, DatasetSpec) else get_dataset(dataset)
-    process = arrival_spec(arrival)
+    process = ArrivalSpec.from_ref(arrival)
     rng = np.random.default_rng(seed)
-    family = get_arrival_process(process.kind)
+    family = process.family()
     if family.builds_trace:
         records, n_in, n_out = family.build_trace(
             rng, rps, n_requests, spec, max_context, slo_tier,

@@ -25,6 +25,18 @@ class TestList:
         assert "hack" in catalog["methods"]
         assert "cocktail" in catalog["datasets"]
 
+    def test_json_catalog_keys(self, capsys):
+        """The catalog's keys, in order, are part of the CLI contract."""
+        assert main(["list", "--json"]) == 0
+        catalog = json.loads(capsys.readouterr().out)
+        assert list(catalog) == [
+            "experiments", "models", "datasets", "methods",
+            "method_families", "arrival_processes", "dispatch_policies",
+            "placement_policies", "kvstore_families", "eviction_policies",
+            "selection_policies", "fault_families", "recovery_policies",
+            "autoscaler_policies", "admission_policies", "prefill_gpus",
+        ]
+
 
 class TestRunScenario:
     def test_table_output(self, capsys):

@@ -165,32 +165,44 @@ class TestArtifactIO:
         assert "requests.jct_s" in diff["methods"]["hack"]
 
 
-class TestRunMethodsEquivalence:
-    def test_wrapper_matches_api(self):
-        """experiments.common.run_methods is a thin view over the API."""
-        from repro.experiments.common import run_methods
+#: A scenario change that adds each optional summary block, and one
+#: metric ``compare`` must check inside it.
+_BLOCKS = {
+    "kvstore": ({"kvstore": "tiered"}, "lookups"),
+    "faults": ({"faults": "transfer_flap?p_fail=0.2"}, "n_retries"),
+    "elastic": ({"autoscaler": "reactive"}, "gpu_hours"),
+}
 
-        old = run_methods(("baseline", "hack"), dataset="imdb",
-                          n_requests=16, seed=3)
-        new = Runner().run(SMALL).results
-        for method in ("baseline", "hack"):
-            assert old[method].avg_jct() == new[method].avg_jct()
-            assert old[method].peak_memory_fraction == \
-                new[method].peak_memory_fraction
 
-    def test_registry_model_spec_accepted(self):
-        from repro.experiments.common import make_scenario
+@pytest.mark.parametrize("block", sorted(_BLOCKS))
+class TestCompareOptionalBlocks:
+    @pytest.fixture
+    def artifact(self, block):
+        changes, _ = _BLOCKS[block]
+        artifact = Runner().run(SMALL.replace(**changes))
+        assert block in artifact.methods["hack"].summary
+        return artifact
 
-        scenario = make_scenario(("baseline",), model=get_model("Y"))
-        assert scenario.model == "Y"
+    def test_one_sided_block_is_a_full_diff(self, artifact, block):
+        other = RunArtifact.from_json(artifact.to_json())
+        del other.methods["hack"].summary[block]
+        forward = compare_artifacts(artifact, other)
+        backward = compare_artifacts(other, artifact)
+        assert not forward["equal"] and not backward["equal"]
+        assert forward["methods"] == {
+            "hack": {block: {"a": True, "b": False, "rel_diff": 1.0}}}
+        assert backward["methods"] == {
+            "hack": {block: {"a": False, "b": True, "rel_diff": 1.0}}}
 
-    def test_modified_model_spec_rejected(self):
-        """A non-registry spec must fail loudly, not be silently swapped
-        for the stock model of the same letter."""
-        import dataclasses
-
-        from repro.experiments.common import run_methods
-
-        tweaked = dataclasses.replace(get_model("L"), max_context=4096)
-        with pytest.raises(ValueError, match="registry"):
-            run_methods(("baseline",), model=tweaked, n_requests=10)
+    def test_drifted_metric_is_named(self, artifact, block):
+        _, metric = _BLOCKS[block]
+        other = RunArtifact.from_json(artifact.to_json())
+        summary = other.methods["hack"].summary[block]
+        before = summary[metric]
+        summary[metric] = before * 2 + 1
+        diff = compare_artifacts(artifact, other)
+        assert not diff["equal"]
+        assert diff["methods"] == {"hack": {f"{block}.{metric}": {
+            "a": before, "b": before * 2 + 1,
+            "rel_diff": pytest.approx(
+                abs(before + 1) / max(abs(before), abs(before * 2 + 1)))}}}

@@ -7,10 +7,15 @@ from repro.methods import (
     FP_FORMAT_METHODS,
     METHODS,
     PAPER_COMPARISON,
+    MethodSpec,
     get_method,
-    hack_method,
     quantized_bytes_per_value,
 )
+
+
+def hack(partition_size, **params):
+    return MethodSpec.of("hack", partition_size=partition_size,
+                         **params).build_method()
 
 
 class TestQuantizedBytes:
@@ -112,17 +117,17 @@ class TestRegistry:
 
 class TestHackMethodFactory:
     def test_pi_sensitivity_bytes(self):
-        assert hack_method(32).kv_wire_bytes_per_value > \
-            hack_method(64).kv_wire_bytes_per_value
+        assert hack(32).kv_wire_bytes_per_value > \
+            hack(64).kv_wire_bytes_per_value
 
     def test_default_naming(self):
-        assert hack_method(32).name == "hack_pi32"
-        assert hack_method(64, summation_elimination=False).name == \
+        assert hack(32).name == "hack_pi32"
+        assert hack(64, summation_elimination=False).name == \
             "hack_pi64_nose"
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            hack_method(64, name="bad").__class__(
+            hack(64).__class__(
                 name="x", display_name="x",
                 kv_wire_bytes_per_value=1.0, kv_mem_bytes_per_value=0.5,
             )

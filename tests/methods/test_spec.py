@@ -11,54 +11,50 @@ from repro.methods import (
     Method,
     MethodFamily,
     MethodSpec,
-    ParamDef,
     apply_method_params,
-    canonical_method,
     get_method,
     legacy_names,
-    method_spec,
-    parse_method,
     register_family,
     resolve_method,
-    split_method_list,
 )
+from repro.spec import Param, split_spec_list
 
 
 class TestParseAndCanonical:
     def test_bare_family(self):
-        spec = parse_method("quant")
+        spec = MethodSpec.parse("quant")
         assert spec == MethodSpec("quant")
         assert spec.canonical() == "quant"
 
     def test_parameterized(self):
-        spec = parse_method("hack?pi=128,bits=4,se=off")
+        spec = MethodSpec.parse("hack?pi=128,bits=4,se=off")
         assert dict(spec.params) == {
             "partition_size": 128, "bits": 4,
             "summation_elimination": False,
         }
 
     def test_aliases_and_long_names_are_equivalent(self):
-        assert parse_method("hack?pi=128") == \
-            parse_method("hack?partition_size=128")
+        assert MethodSpec.parse("hack?pi=128") == \
+            MethodSpec.parse("hack?partition_size=128")
 
     def test_parameter_order_is_irrelevant(self):
-        assert parse_method("hack?bits=4,pi=128") == \
-            parse_method("hack?pi=128,bits=4")
+        assert MethodSpec.parse("hack?bits=4,pi=128") == \
+            MethodSpec.parse("hack?pi=128,bits=4")
 
     def test_boolean_spellings(self):
         for token in ("off", "false", "no", "0"):
-            spec = parse_method(f"hack?se={token}")
+            spec = MethodSpec.parse(f"hack?se={token}")
             assert dict(spec.params)["summation_elimination"] is False
         for token in ("on", "true", "yes", "1"):
-            spec = parse_method(f"hack?rqe={token}")
+            spec = MethodSpec.parse(f"hack?rqe={token}")
             assert dict(spec.params)["requant_elimination"] is True
 
     def test_canonical_round_trip(self):
         for text in ("hack?pi=128,bits=4,se=off", "quant?bits=4",
                      "fp?bits=6", "cachegen?delta_bits=4,delta_gain=8",
                      "hack?gain=1.6"):
-            spec = parse_method(text)
-            assert parse_method(spec.canonical()) == spec
+            spec = MethodSpec.parse(text)
+            assert MethodSpec.parse(spec.canonical()) == spec
 
     def test_float_values_round_trip_exactly(self):
         """Close-but-distinct floats must keep distinct canonical
@@ -66,41 +62,41 @@ class TestParseAndCanonical:
         a = MethodSpec.of("hack", int_compute_gain=1 / 3)
         b = MethodSpec.of("hack", int_compute_gain=0.3333334)
         assert a.canonical() != b.canonical()
-        assert parse_method(a.canonical()) == a
-        assert parse_method(b.canonical()) == b
+        assert MethodSpec.parse(a.canonical()) == a
+        assert MethodSpec.parse(b.canonical()) == b
 
     def test_canonical_uses_short_aliases(self):
-        assert parse_method("hack?partition_size=128").canonical() == \
+        assert MethodSpec.parse("hack?partition_size=128").canonical() == \
             "hack?pi=128"
 
     def test_unknown_family_suggests(self):
         with pytest.raises(ValueError, match="did you mean 'hack'"):
-            parse_method("hacck?pi=64")
+            MethodSpec.parse("hacck?pi=64")
 
     def test_unknown_parameter_suggests(self):
         with pytest.raises(ValueError, match="no parameter 'partition_siez'"):
-            parse_method("hack?partition_siez=64")
+            MethodSpec.parse("hack?partition_siez=64")
 
     def test_duplicate_parameter_rejected(self):
         with pytest.raises(ValueError, match="given twice"):
-            parse_method("hack?pi=32,partition_size=64")
+            MethodSpec.parse("hack?pi=32,partition_size=64")
 
     def test_malformed_pair_rejected(self):
         with pytest.raises(ValueError, match="grammar"):
-            parse_method("hack?pi")
+            MethodSpec.parse("hack?pi")
 
     def test_type_coercion_errors(self):
         with pytest.raises(ValueError, match="integer"):
-            parse_method("hack?pi=sixty-four")
+            MethodSpec.parse("hack?pi=sixty-four")
         with pytest.raises(ValueError, match="on/off"):
-            parse_method("hack?se=maybe")
+            MethodSpec.parse("hack?se=maybe")
 
     def test_choices_enforced(self):
         with pytest.raises(ValueError, match="must be one of"):
-            parse_method("fp?bits=5")
+            MethodSpec.parse("fp?bits=5")
 
     def test_legacy_names_parse_to_their_spec(self):
-        assert parse_method("hack_pi128") == \
+        assert MethodSpec.parse("hack_pi128") == \
             MethodSpec.of("hack", partition_size=128)
 
 
@@ -121,7 +117,7 @@ class TestJsonRoundTrip:
         assert spec.canonical() == "hack?bits=4,pi=128,se=off"
 
     def test_json_round_trip_via_string(self):
-        spec = parse_method("quant?bits=8,pi=32")
+        spec = MethodSpec.parse("quant?bits=8,pi=32")
         restored = MethodSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
         assert restored == spec
         assert restored.canonical() == spec.canonical()
@@ -133,7 +129,7 @@ class TestJsonRoundTrip:
     def test_spec_string_json_spec_triangle(self):
         """spec -> string -> spec -> dict -> spec all agree."""
         original = MethodSpec.of("hack", bits=4)
-        via_string = parse_method(original.canonical())
+        via_string = MethodSpec.parse(original.canonical())
         via_dict = MethodSpec.from_dict(via_string.to_dict())
         assert original == via_string == via_dict
 
@@ -218,7 +214,7 @@ class TestLegacyGolden:
 
     def test_legacy_names_canonicalize_to_themselves(self):
         for name in legacy_names():
-            assert canonical_method(name) == name
+            assert MethodSpec.canonicalize(name) == name
 
     def test_alias_shadowing_another_family_rejected(self, monkeypatch):
         """Aliases resolve before families, so an alias naming a
@@ -230,7 +226,7 @@ class TestLegacyGolden:
         with pytest.raises(ValueError, match="would shadow"):
             spec_module.register_legacy_alias("fp", MethodSpec.of("hack"))
         assert "fp" not in spec_module.LEGACY
-        assert parse_method("fp").kind == "fp"
+        assert MethodSpec.parse("fp").kind == "fp"
 
     def test_family_shadowed_by_existing_alias_rejected(self, monkeypatch):
         """The reverse order: a family registered under another
@@ -247,7 +243,7 @@ class TestLegacyGolden:
         with pytest.raises(ValueError, match="would be shadowed"):
             register_family("fp4")(Shadowed)
         assert "fp4" not in spec_module.FAMILIES.entries
-        assert parse_method("fp4") == parse_method("fp?bits=4")
+        assert MethodSpec.parse("fp4") == MethodSpec.parse("fp?bits=4")
 
     def test_grammar_spec_equals_legacy_values(self):
         assert resolve_method("hack?pi=128") == get_method("hack_pi128")
@@ -269,25 +265,25 @@ class TestLegacyGolden:
 
 class TestSplitMethodList:
     def test_plain_list(self):
-        assert split_method_list("baseline,hack") == ["baseline", "hack"]
+        assert split_spec_list("baseline,hack") == ["baseline", "hack"]
 
     def test_spec_keeps_its_parameters(self):
-        assert split_method_list("baseline,hack?pi=128,bits=4,cachegen") == \
+        assert split_spec_list("baseline,hack?pi=128,bits=4,cachegen") == \
             ["baseline", "hack?pi=128,bits=4", "cachegen"]
 
     def test_spec_first(self):
-        assert split_method_list("hack?pi=32,se=off,baseline") == \
+        assert split_spec_list("hack?pi=32,se=off,baseline") == \
             ["hack?pi=32,se=off", "baseline"]
 
     def test_empty_tokens_skipped(self):
-        assert split_method_list("baseline,,hack,") == ["baseline", "hack"]
+        assert split_spec_list("baseline,,hack,") == ["baseline", "hack"]
 
     def test_plus_joined_sets_keep_spec_parameters(self):
         """The CLI's methods-axis values: '+'-joined sets where only
         the last member can have an open '?' clause."""
-        assert split_method_list("baseline+hack?pi=128,bits=4,kvquant") == \
+        assert split_spec_list("baseline+hack?pi=128,bits=4,kvquant") == \
             ["baseline+hack?pi=128,bits=4", "kvquant"]
-        assert split_method_list("hack?pi=64+baseline,kvquant") == \
+        assert split_spec_list("hack?pi=64+baseline,kvquant") == \
             ["hack?pi=64+baseline", "kvquant"]
 
     def test_string_values_reject_grammar_metacharacters(self):
@@ -444,7 +440,7 @@ class _ToyFamily(MethodFamily):
     """A perf-model-only family used to exercise the open registry."""
 
     description = "test-only token-dropping family"
-    params = {"keep": ParamDef(0.5)}
+    params = {"keep": Param(0.5)}
 
     def build_method(self, *, keep):
         return Method(name=f"testtoy{keep:g}",
@@ -471,7 +467,7 @@ class TestOpenRegistry:
             register_family("testtoy")(_ToyFamily)
 
     def test_no_accuracy_path_is_a_clear_error(self):
-        spec = method_spec("testtoy")
+        spec = MethodSpec.from_ref("testtoy")
         with pytest.raises(ValueError, match="no accuracy path"):
             spec.attention_output(None, None, None, None)
 

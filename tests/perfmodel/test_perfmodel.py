@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cluster import replica_resources
-from repro.methods import get_method, hack_method
+from repro.methods import MethodSpec, get_method
 from repro.model import get_model
 from repro.perfmodel import (
     DEFAULT_CALIBRATION,
@@ -86,8 +86,10 @@ class TestPrefill:
 
     def test_smaller_partition_slower(self):
         """Table 8: Π=32 prefill slower than Π=128."""
-        small = prefill_time(L, A10G, 16200, hack_method(32)).compute_s
-        large = prefill_time(L, A10G, 16200, hack_method(128)).compute_s
+        small = prefill_time(L, A10G, 16200, MethodSpec.of(
+            "hack", partition_size=32).build_method()).compute_s
+        large = prefill_time(L, A10G, 16200, MethodSpec.of(
+            "hack", partition_size=128).build_method()).compute_s
         assert small > large
 
     def test_validation(self):

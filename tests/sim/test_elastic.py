@@ -24,21 +24,16 @@ from repro.methods import get_method
 from repro.model import get_model
 from repro.sim import capacity_rps, default_cluster, simulate
 from repro.sim.elastic import (
+    ADMISSIONS,
+    AUTOSCALERS,
     AdmissionPolicy,
     AdmissionSpec,
     AutoscalerPolicy,
     AutoscalerSpec,
-    ElasticParam,
-    admission_spec,
-    autoscaler_policies,
-    autoscaler_spec,
-    canonical_admission,
-    canonical_autoscaler,
-    parse_autoscaler,
     register_admission,
     register_autoscaler,
-    split_autoscaler_list,
 )
+from repro.spec import Param, split_spec_list
 from repro.workload import generate_trace, get_dataset
 
 L = get_model("L")
@@ -85,28 +80,30 @@ def _run(method="hack", mode="span", n=30, seed=0, dataset="cocktail",
 
 class TestGrammar:
     def test_parse_and_canonical_sort_params(self):
-        spec = parse_autoscaler("reactive?queue_lo=1,queue_hi=6")
+        spec = AutoscalerSpec.parse("reactive?queue_lo=1,queue_hi=6")
         assert spec.kind == "reactive"
         assert spec.canonical() == "reactive?queue_hi=6.0,queue_lo=1.0"
 
     def test_bare_family_canonical_is_bare(self):
-        assert canonical_autoscaler("static") == "static"
-        assert canonical_admission("accept_all") == "accept_all"
+        assert AutoscalerSpec.canonicalize("static") == "static"
+        assert AdmissionSpec.canonicalize("accept_all") == "accept_all"
 
     def test_unknown_family_suggests(self):
         with pytest.raises(ValueError, match="reactive"):
-            parse_autoscaler("reactve?queue_hi=6")
+            AutoscalerSpec.parse("reactve?queue_hi=6")
 
     def test_unknown_param_suggests(self):
         with pytest.raises(ValueError, match="queue_hi"):
-            parse_autoscaler("reactive?queue_high=6")
+            AutoscalerSpec.parse("reactive?queue_high=6")
 
     def test_validation_rejects_inverted_thresholds(self):
         with pytest.raises(ValueError, match="queue_hi"):
-            autoscaler_spec("reactive?queue_hi=1.0,queue_lo=5.0").build()
+            AutoscalerSpec.from_ref(
+                "reactive?queue_hi=1.0,queue_lo=5.0").build()
 
     def test_schedule_plan_round_trips(self):
-        spec = autoscaler_spec("schedule?plan=0:1.0|60:0.5,period_s=120")
+        spec = AutoscalerSpec.from_ref(
+            "schedule?plan=0:1.0|60:0.5,period_s=120")
         assert "plan=0:1.0|60:0.5" in spec.canonical()
         policy = spec.build()
         assert policy._fraction(0.0) == 1.0
@@ -115,14 +112,14 @@ class TestGrammar:
 
     def test_schedule_plan_must_start_at_zero(self):
         with pytest.raises(ValueError, match="plan"):
-            autoscaler_spec("schedule?plan=10:0.5").build()
+            AutoscalerSpec.from_ref("schedule?plan=10:0.5").build()
 
     def test_degrade_method_resolved_at_validation(self):
         with pytest.raises(ValueError):
-            admission_spec("degrade?method=hack_int5").build()
+            AdmissionSpec.from_ref("degrade?method=hack_int5").build()
 
     def test_split_list_respects_param_commas(self):
-        items = split_autoscaler_list(
+        items = split_spec_list(
             "static,reactive?queue_hi=6.0,queue_lo=1.0")
         assert items == ["static", "reactive?queue_hi=6.0,queue_lo=1.0"]
 
@@ -136,24 +133,24 @@ class TestGrammar:
 class TestRegistries:
     def test_builtins_registered(self):
         assert {"static", "reactive", "slo", "schedule"} <= \
-            set(autoscaler_policies())
+            set(AUTOSCALERS.families())
 
     def test_custom_autoscaler_registers_and_builds(self):
         @register_autoscaler(replace=True)
         class Pinned(AutoscalerPolicy):
             name = "test_pinned"
             description = "always wants exactly one prefill replica"
-            params = {"n": ElasticParam(1.0, "target prefill count")}
+            params = {"n": Param(1.0, "target prefill count")}
 
             def desired(self, now, sim, n_prefill, n_decode,
                         cur_prefill, cur_decode):
                 return int(self.p["n"]), n_decode
 
         try:
-            spec = autoscaler_spec("test_pinned?n=2")
+            spec = AutoscalerSpec.from_ref("test_pinned?n=2")
             assert spec.build().desired(0, None, 4, 2, 4, 2) == (2, 2)
         finally:
-            del autoscaler_policies()["test_pinned"]
+            AUTOSCALERS.entries.pop("test_pinned", None)
 
     def test_duplicate_registration_rejected(self):
         with pytest.raises(ValueError, match="replace"):
@@ -163,7 +160,7 @@ class TestRegistries:
                 description = "clash"
 
     def test_policy_signatures_render(self):
-        for cls in autoscaler_policies().values():
+        for cls in AUTOSCALERS.families().values():
             sig = cls.signature()
             assert sig.startswith(cls.name)
 
@@ -402,8 +399,7 @@ class TestAdmission:
             res = _run(seed=9, n=20, admission="test_every_other")
             assert res.elastic_stats["n_shed"] == 10
         finally:
-            from repro.sim.elastic import admission_policies
-            del admission_policies()["test_every_other"]
+            ADMISSIONS.entries.pop("test_every_other", None)
 
 
 # -- API plumbing -------------------------------------------------------------

@@ -6,6 +6,8 @@ import pytest
 from repro.methods import get_method
 from repro.model import get_model
 from repro.sim import (
+    ClusterConfig,
+    Simulator,
     capacity_rps,
     default_cluster,
     experiment_rps,
@@ -219,6 +221,36 @@ class TestCapacity:
 
     def test_experiment_rps_positive(self):
         assert experiment_rps(L, "A10G", "cocktail") > 0
+
+    @pytest.mark.parametrize("letter", ["M", "P", "Y", "L", "F"])
+    def test_decode_memory_matches_the_formula_bitwise(self, letter):
+        """``mem_gb·1e9·(1 − reserve) − params·(1 + activation)``, bit
+        for bit, whether the constants are written as ints or floats."""
+        config = default_cluster(get_model(letter), get_method("hack"),
+                                 "A10G")
+        dec = config.decode_replica()
+        params = config.model.param_bytes()
+        base, capacity = config.decode_memory()
+        assert base == params * (1.0 + config.activation_overhead)
+        assert capacity == (dec.mem_gb * 1e9
+                            * (1 - config.mem_reserve_fraction)
+                            - params * (1 + config.activation_overhead))
+
+    def test_engine_and_capacity_bound_share_decode_memory(self,
+                                                          monkeypatch):
+        config = default_cluster(L, get_method("baseline"), "A10G")
+        ds = get_dataset("cocktail")
+        trace = generate_trace("imdb", 1.0, 10, seed=0)
+        base, capacity = config.decode_memory()
+        sim = Simulator(config, trace)
+        assert [(d.base_bytes, d.capacity_bytes) for d in sim._decode] == \
+            [(base, capacity)] * config.n_decode_replicas
+        decode_rps = stage_capacities(config, ds)[2]
+        monkeypatch.setattr(ClusterConfig, "decode_memory",
+                            lambda self: (base, capacity / 4))
+        assert Simulator(config, trace)._decode[0].capacity_bytes == \
+            capacity / 4
+        assert stage_capacities(config, ds)[2] < decode_rps
 
 
 class TestValidation:
